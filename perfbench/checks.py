@@ -4,14 +4,18 @@ Each checker takes the JSON payload a command printed and returns a list of
 problems; an empty list means the output is correct.  Spectra are checked
 against properties the method must have, never against stored output:
 
-* the measured degeneracies fill the Hilbert space, sum = (2s+1)^N;
-* Lambda(u0) of every line, evaluated here from the printed roots and
-  repeated by its degeneracy, equals the eigenvalues of the dense t(u0) as a
-  multiset;
-* open chains only: the line count per M is C(N, M) - C(N, M-1), and every
-  line's energy is an eigenvalue of the Hamiltonian built from the TL
-  generators (not from the transfer matrix).
+* Lambda(u0) of every line, evaluated here from the printed roots, is an
+  eigenvalue of the dense t(u0) whose multiplicity is the line's measured
+  degeneracy, and no line repeats another;
+* the degeneracies fill the Hilbert space, sum = (2s+1)^N;
+* open chains only: the line count per M is C(N, M) - C(N, M-1), each line's
+  degeneracy is p_(N-2M)(2s+1), and every line's energy is an eigenvalue of
+  the Hamiltonian built from the TL generators (not from the transfer
+  matrix).
 
+Spectrum problems carry a symptom, so that a known fault of the solver can
+be told apart from any other error: MISSING (lines absent from a spectrum
+that is otherwise right), REPEATED (a line listed more than once) or OTHER.
 Table reproductions are checked against the paper's printed tables, and
 identity suites by every residual against its stated tolerance.
 """
@@ -23,14 +27,17 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-#: Spectral point of the multiset check; away from the program's own probes.
+#: Spectral point of the spectrum check; away from the program's own probes.
 CHECK_PROBE = 1.17 + 0.29j
 #: Relative distance at which Lambda(u0) and an eigenvalue count as equal.
 SPECTRUM_TOL = 1e-8
 #: Relative distance at which an energy counts as a Hamiltonian eigenvalue.
 ENERGY_TOL = 1e-8
+#: Symptoms of a spectrum problem.
+MISSING = "missing lines"
+REPEATED = "repeated line"
+OTHER = "wrong output"
 #: |Q(u0)| below this puts u0 on a pole of Lambda; the probe is then moved.
 POLE_TOL = 1e-8
 
@@ -84,72 +91,101 @@ def chebyshev_dim(k: int, x: int) -> int:
     return cur
 
 
-def multiset_distance(values, eigs) -> float:
-    """Largest distance of an optimal one-to-one pairing, scaled by the
-    spectral radius; inf when the sizes differ."""
-    values = np.asarray(values, dtype=complex)
-    eigs = np.asarray(eigs, dtype=complex)
-    if values.shape != eigs.shape:
-        return math.inf
-    if not values.size:
-        return 0.0
-    cost = np.abs(values[:, None] - eigs[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max() / (1.0 + np.abs(eigs).max()))
+def open_degeneracy(n_sites: int, m: int, spin: str) -> int:
+    """Degeneracy of an open-chain line with M roots: p_(N-2M)(2s+1)."""
+    return chebyshev_dim(n_sites - 2 * m, site_dim(spin))
 
 
-def check_spectrum(payload, transfer_eigs, hamiltonian_eigs=None):
-    """Problems of one `tllab solve` payload.
-
-    ``transfer_eigs(u0)`` returns the eigenvalues of the dense t(u0);
-    ``hamiltonian_eigs`` is the spectrum of H (open chains).
-    """
-    problems = []
+def _lambda_values(payload):
+    """(u0, Lambda(u0) of every line), u0 moved off the poles of Lambda."""
     n, spin, kind = payload["n_sites"], payload["spin"], payload["chain"]
     q = _complex(payload["q"])
-    dim = site_dim(spin) ** n
-    lines = payload["lines"]
-    degs = [ln["degeneracy"] for ln in lines]
-    if any(not isinstance(g, int) or g < 1 for g in degs):
-        return [f"unmeasured or empty degeneracy in {degs}"]
-    if sum(degs) != dim:
-        problems.append(f"total degeneracy {sum(degs)} != dimension {dim}")
-
     probe = CHECK_PROBE
     for _ in range(60):
         try:
-            values = [
+            return probe, [
                 lambda_from_roots(
                     probe, [_complex(r) for r in ln["roots"]], q, n, spin, kind,
                     None if ln["twist"] is None else _complex(ln["twist"]),
                 )
-                for ln in lines
+                for ln in payload["lines"]
             ]
-            break
         except ZeroDivisionError:
             probe *= 1.0003
-    else:
-        return problems + ["no pole-free probe for Lambda"]
-    expanded = [v for v, g in zip(values, degs) for _ in range(g)]
-    gap = multiset_distance(expanded, transfer_eigs(probe))
-    if not gap <= SPECTRUM_TOL:
-        problems.append(
-            f"Lambda(u0) with degeneracies differs from eig t(u0) by {gap:.3g}"
+    return probe, None
+
+
+def check_spectrum(payload, transfer_eigs, hamiltonian_eigs=None):
+    """Problems of one `tllab solve` payload, as (symptom, message) pairs.
+
+    ``transfer_eigs(u0)`` returns the eigenvalues of the dense t(u0);
+    ``hamiltonian_eigs`` is the spectrum of H (open chains).  A line whose
+    M, sector, twist and Lambda(u0) equal an earlier line's is REPEATED and
+    left out of the other checks.  States absent from an otherwise correct
+    spectrum (total below the dimension, open census short) are MISSING.
+    Anything else is OTHER, including a line whose Lambda(u0) is not an
+    eigenvalue of t(u0) with multiplicity equal to its degeneracy.
+    """
+    n, spin, kind = payload["n_sites"], payload["spin"], payload["chain"]
+    dim = site_dim(spin) ** n
+    lines = payload["lines"]
+    degs = [ln["degeneracy"] for ln in lines]
+    if any(not isinstance(g, int) or g < 1 for g in degs):
+        return [(OTHER, f"unmeasured or empty degeneracy in {degs}")]
+    probe, values = _lambda_values(payload)
+    if values is None:
+        return [(OTHER, "no pole-free probe for Lambda")]
+    eigs = np.asarray(transfer_eigs(probe), dtype=complex)
+    tol = SPECTRUM_TOL * (1.0 + np.abs(eigs).max())
+
+    def same_line(a, b):
+        la, lb = lines[a], lines[b]
+        twists = [None if ln["twist"] is None else _complex(ln["twist"]) for ln in (la, lb)]
+        return (
+            (la["m"], la.get("sector")) == (lb["m"], lb.get("sector"))
+            and (twists[0] is None) == (twists[1] is None)
+            and (twists[0] is None or abs(twists[0] - twists[1]) <= SPECTRUM_TOL)
+            and abs(values[a] - values[b]) <= tol
         )
+
+    problems = []
+    distinct = []
+    for i, (ln, value) in enumerate(zip(lines, values)):
+        twin = next((j for j in distinct if same_line(j, i)), None)
+        if twin is not None:
+            symptom = REPEATED if degs[i] == degs[twin] else OTHER
+            problems.append((symptom, f"M={ln['m']}: line {i} repeats line {twin}"))
+            continue
+        distinct.append(i)
+        mult = int(np.count_nonzero(np.abs(eigs - value) <= tol))
+        if mult != degs[i]:
+            problems.append((
+                OTHER,
+                f"M={ln['m']}: Lambda(u0) = {value:.6g} has multiplicity {mult}"
+                f" in eig t(u0), degeneracy {degs[i]}",
+            ))
+    total = sum(degs[i] for i in distinct)
+    if total != dim:
+        symptom = MISSING if total < dim else OTHER
+        problems.append((symptom, f"total degeneracy {total} != dimension {dim}"))
 
     if kind == "open":
         for m in range(n // 2 + 1):
-            found = sum(1 for ln in lines if ln["m"] == m)
+            found = sum(1 for i in distinct if lines[i]["m"] == m)
             want = lines_per_sector(n, m)
             if found != want:
-                problems.append(f"M={m}: {found} lines, census predicts {want}")
+                symptom = MISSING if found < want else OTHER
+                problems.append((symptom, f"M={m}: {found} lines, census predicts {want}"))
         h_eigs = np.asarray(hamiltonian_eigs)
         scale = 1.0 + np.abs(h_eigs).max()
         for ln in lines:
+            want = open_degeneracy(n, ln["m"], spin)
+            if ln["degeneracy"] != want:
+                problems.append((OTHER, f"M={ln['m']}: degeneracy {ln['degeneracy']}, formula {want}"))
             e = _complex(ln["energy"])
             miss = float(np.abs(h_eigs - e).min()) / scale
             if not miss <= ENERGY_TOL:
-                problems.append(f"M={ln['m']}: energy {e:.6g} is {miss:.3g} off spec H")
+                problems.append((OTHER, f"M={ln['m']}: energy {e:.6g} is {miss:.3g} off spec H"))
     return problems
 
 

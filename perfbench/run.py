@@ -53,15 +53,16 @@ import checks  # noqa: E402
 import spans as tracing  # noqa: E402
 import speed  # noqa: E402
 
-#: Set-up repetitions per run; setup_s is their median.
-SETUP_REPEATS = 15
+#: Set-up repetitions per run; setup_s is the median of their scaled times.
+SETUP_REPEATS = 25
 #: Fewest rounds per untraced run.  The open-census round is the shortest
 #: and spreads most, so it is measured twice; one round of the others keeps
 #: every run within the time budget.
 MIN_ROUNDS = {"open-census": 2, "closed-census": 1, "verify-suites": 1}
-#: Program seed of the census operations.  Multistart Newton and its dedup
-#: give seed-dependent results (a line missed or kept twice at a few seeds
-#: in a hundred), so a seed drawn per run would make `failed` vary.
+#: Program seed of the census operations, tllab's default.  Multistart
+#: Newton and its dedup give seed-dependent results (a line missed or kept
+#: twice at a few seeds in a hundred), so a seed drawn per run would make
+#: `failed` vary.
 CENSUS_SEED = 1234
 SPINS = ("1/2", "1", "3/2")
 
@@ -74,12 +75,12 @@ class Op:
     argv: tuple
     params: tuple = ()  # (N, spin, q) the command builds, for the set-up
     seed: int = None  # fixed program seed; None derives it from --seed
-    fault: str = ""  # known program fault this operation shows at ``seed``
+    fault: str = ""  # the one symptom (checks.MISSING, ...) of a known fault
 
 
-def solve(chain, n, spin, q=0.5, seed=CENSUS_SEED, fault=""):
+def solve(chain, n, spin, q=0.5, fault=""):
     argv = ("solve", "--chain", chain, "--sites", str(n), "--spin", spin, "--q", repr(q))
-    return Op(f"solve {chain} N={n} s={spin} q={q}", argv, ((n, spin, q),), seed, fault)
+    return Op(f"solve {chain} N={n} s={spin} q={q}", argv, ((n, spin, q),), CENSUS_SEED, fault)
 
 
 def reproduce(table, n_sites):
@@ -92,25 +93,22 @@ def verify(suite):
     return Op(f"verify {suite}", ("verify", "--suite", suite))
 
 
-MISSED_ROOTS = "multistart Newton misses Bethe roots"
-DUPLICATE = "dedup ignores SearchConfig.dedup_tol and keeps a duplicate line"
-
 WORKLOADS = {
     "open-census": (
         *(reproduce(k, k + 1) for k in (1, 2, 3)),
         *(reproduce(k, k - 2) for k in (4, 5, 6)),
-        # Complete at seed 1234, a line short at this one.
-        solve("open", 5, "1/2", seed=2524312431, fault=MISSED_ROOTS),
+        solve("open", 5, "1/2"),
         solve("open", 5, "1"),
-        solve("open", 6, "1/2", fault=MISSED_ROOTS),
+        # Multistart Newton misses one M=2 and one M=3 line.
+        solve("open", 6, "1/2", fault=checks.MISSING),
     ),
     "closed-census": (
         reproduce(7, 2),
         reproduce(8, 3),
-        # Complete at seed 1234, a root pair listed twice at this one.
-        solve("closed", 5, "1/2", seed=2293376285, fault=DUPLICATE),
+        solve("closed", 5, "1/2"),
+        # dedup_solutions ignores SearchConfig.dedup_tol: one root six times.
         *(
-            solve("closed", 3, s, q, fault=DUPLICATE if (s, q) == ("1/2", 0.7) else "")
+            solve("closed", 3, s, q, fault=checks.REPEATED if (s, q) == ("1/2", 0.7) else "")
             for s in ("1/2", "1") for q in (0.3, 0.7, 1.5)
         ),
     ),
@@ -136,6 +134,19 @@ def set_up(ops):
     return time.perf_counter() - start
 
 
+def setup_seconds(ops):
+    """Median set-up time over SETUP_REPEATS, each divided by the reference
+    computation timed just before it and given back in seconds at the
+    nominal reference time (speed.NOMINAL_S), so that the machine's drift
+    cancels as it does for the operations."""
+    probe = speed.SpeedProbe()
+    ratios = []
+    for _ in range(SETUP_REPEATS):
+        reference = probe.timed_reference()
+        ratios.append(set_up(ops) / reference)
+    return statistics.median(ratios) * speed.NOMINAL_S
+
+
 def clear_caches():
     """Empty the program's memo caches, as a fresh `tllab` process has them."""
     for name, mod in list(sys.modules.items()):
@@ -152,14 +163,14 @@ def double_row_stats():
 
 
 def check(op, payload):
-    """Problems of one operation's payload, from the benchmark's checkers."""
+    """Problems of one operation's payload, as (symptom, message) pairs."""
     tllab = sys.modules["tllab"]
     kind = op.argv[0]
     if kind == "verify":
-        return checks.check_verify(payload, op.argv[2])
+        return [(checks.OTHER, p) for p in checks.check_verify(payload, op.argv[2])]
     if kind == "reproduce":
         table = sys.modules["tllab.reference"].TABLES[int(op.argv[2])]
-        return checks.check_table(payload, table)
+        return [(checks.OTHER, p) for p in checks.check_table(payload, table)]
     (n, spin, q), = op.params
     params = tllab.ModelParams.create(n, spin, q=q)
     chain = payload["chain"]
@@ -218,12 +229,12 @@ def run_round(workload, seed, tracer=None, probe=None):
         extras["double_row_hits"] += hits
         extras["double_row_misses"] += misses
         if payload is None:
-            problems = [error]
+            problems = [(checks.OTHER, error)]
         else:
             try:
                 problems = check(op, payload)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                problems = [f"malformed payload: {exc!r}"]
+                problems = [(checks.OTHER, f"malformed payload: {exc!r}")]
             for suite in payload.get("suites", ()):
                 extras["suites"][suite["name"]] = suite["elapsed_seconds"]
             extras["comparisons"] += len(payload.get("comparisons", ()))
@@ -231,12 +242,20 @@ def run_round(workload, seed, tracer=None, probe=None):
     return records, extras
 
 
-def report(records, tag):
-    for op, elapsed, code, problems, _ in records:
-        state = "ok" if not problems else "FAILED: " + "; ".join(problems[:3])
-        if problems and op.fault:
-            state = f"known fault ({op.fault}), {state}"
-        print(f"{tag} {op.label}: {elapsed:.3f} s, exit {code}, {state}")
+def unexpected(op, problems):
+    """Problems that the operation's known fault does not explain."""
+    return [p for p in problems if p[0] != op.fault]
+
+
+def report(records, tag, units=None):
+    units = units or [None] * len(records)
+    for (op, elapsed, code, problems, _), unit in zip(records, units):
+        state = "ok"
+        if problems:
+            known = "" if unexpected(op, problems) else f"known fault ({op.fault}), "
+            state = known + "FAILED: " + "; ".join(f"{s}: {m}" for s, m in problems[:3])
+        ref = "" if unit is None else f" ({unit:.1f} ref)"
+        print(f"{tag} {op.label}: {elapsed:.3f} s{ref}, exit {code}, {state}")
     print(f"{tag}: {wall(records):.3f} s")
 
 
@@ -264,7 +283,7 @@ def main(argv=None):
 
     ops = WORKLOADS[args.workload]
     seed = program_seed(args.seed)
-    setup_s = statistics.median(set_up(ops) for _ in range(SETUP_REPEATS))
+    setup_s = setup_seconds(ops)
     print(
         f"workload {args.workload}: {len(ops)} operations, benchmark seed {args.seed},"
         f" program seed {seed}, BLAS threads {BLAS_THREADS},"
@@ -287,7 +306,8 @@ def main(argv=None):
         layers = tracing.layer_metrics(spans, counts, extras)
         layers["trace.wall_s"] = wall(traced)
         layers["trace.overhead_s"] = wall(traced) - wall(untraced)
-        metrics = {name: metric(layers[name], unit) for name, unit in tracing.LAYER_METRICS.items()}
+        listed = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        metrics = {m["name"]: metric(layers[m["name"]], m["unit"]) for m in listed}
         OUT.mkdir(exist_ok=True)
         path = OUT / f"trace-{args.workload}-seed{args.seed}.json.gz"
         tracing.write_spans(path, spans, counts, [op.label for op in ops])
@@ -299,7 +319,7 @@ def main(argv=None):
             while len(rounds) < MIN_ROUNDS[args.workload] or time.perf_counter() - start < args.seconds:
                 done, _ = run_round(args.workload, seed, probe=probe)
                 units = speed.in_reference_units([(rec[1], rec[4]) for rec in done])
-                report(done, f"round {len(rounds) + 1}")
+                report(done, f"round {len(rounds) + 1}", units)
                 print(f"round {len(rounds) + 1}: {sum(units):.1f} reference units")
                 records += done
                 rounds.append(units)
@@ -311,7 +331,7 @@ def main(argv=None):
         }
     failed = [rec for rec in records if rec[3]]
     print(json.dumps({
-        "correct": all(op.fault for op, *_ in failed),
+        "correct": not any(unexpected(op, problems) for op, _, _, problems, _ in failed),
         "attempted": len(records),
         "failed": len(failed),
         "metrics": metrics,

@@ -61,50 +61,6 @@ SUITE_NAMES = (
     "symmetry", "offshell", "highest-weight", "scalar-products",
 )
 
-#: Per-layer metrics with their units, in report order.
-LAYER_METRICS = {
-    "symmetry.member_calls": "count",
-    "symmetry.member_kept": "count",
-    "symmetry.member_yield": "ratio",
-    "symmetry.member_s": "s",
-    "symmetry.degeneracy_calls": "count",
-    "symmetry.degeneracy_s": "s",
-    "symmetry.ambiguous": "count",
-    "symmetry.check_s": "s",
-    "solver.sectors": "count",
-    "solver.search_self_s": "s",
-    "solver.dedup_calls": "count",
-    "solver.dedup_in": "count",
-    "solver.dedup_out": "count",
-    "solver.dedup_s": "s",
-    "solver.fingerprints": "count",
-    "solver.refine_calls": "count",
-    "solver.refine_s": "s",
-    "bethe.lambda_calls": "count",
-    "bethe.lambda_s": "s",
-    "bethe.residual_calls": "count",
-    "bethe.residual_s": "s",
-    "core.omega_calls": "count",
-    "transfer.matrix_calls": "count",
-    "transfer.matrix_points": "count",
-    "transfer.matrix_s": "s",
-    "transfer.sweep_calls": "count",
-    "transfer.sweep_s": "s",
-    "operators.r_matrix_calls": "count",
-    "aba.vector_calls": "count",
-    "aba.vector_s": "s",
-    "aba.double_row_hits": "count",
-    "aba.double_row_misses": "count",
-    "aba.offshell_s": "s",
-    "aba.product_s": "s",
-    **{f"suites.{name}_s": "s" for name in SUITE_NAMES},
-    "report.build_self_s": "s",
-    "report.payload_s": "s",
-    "reference.comparisons": "count",
-    "trace.wall_s": "s",
-    "trace.overhead_s": "s",
-}
-
 
 def _degeneracy_info(bound, result):
     nullity, ambiguous = result

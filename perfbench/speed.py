@@ -6,9 +6,11 @@ and 1.5 s in the next.  No run length the time budget allows averages that
 out, so every 0.25 s, from a SIGALRM handler in the one benchmark thread,
 the probe times a fixed reference computation made of the kinds of work
 tllab does: scalar numpy calls, batched complex arithmetic with small linear
-solves, and a column-pivoted QR.  An operation's time divided by the median
-reference time measured during it is the time in reference units, which
-tracks the program's speed and not the machine's.  The handler's own time is
+solves, and a column-pivoted QR.  An operation's time divided by the mean
+reference time measured during it, its fastest and slowest fifth of samples
+left out, is the time in reference units, which tracks the program's speed
+and not the machine's.  The trimmed mean follows slowdowns that last a while
+as the mean does, but not single outliers.  The handler's own time is
 subtracted from the operation's.
 """
 
@@ -22,8 +24,13 @@ import numpy as np
 import scipy.linalg
 
 INTERVAL_S = 0.25
-#: An operation with fewer samples than this is scaled by its round's median.
+#: Share of samples left out at each end of the trimmed mean.
+TRIM = 0.2
+#: An operation with fewer samples than this is scaled by its round's samples.
 MIN_SAMPLES = 3
+#: Typical duration of the reference computation on the machine of the
+#: README's figures; scales a time in reference units back to seconds.
+NOMINAL_S = 0.009
 
 
 def _omega(u):
@@ -53,10 +60,14 @@ class SpeedProbe:
             np.linalg.solve(x + self._eye, y[..., None])
         scipy.linalg.qr(self._m, mode="r", pivoting=True)
 
-    def _handler(self, signum, frame):
+    def timed_reference(self):
+        """Seconds one reference computation takes now."""
         start = time.perf_counter()
         self.reference()
-        took = time.perf_counter() - start
+        return time.perf_counter() - start
+
+    def _handler(self, signum, frame):
+        took = self.timed_reference()
         self.samples.append(took)
         self.spent += took
 
@@ -70,13 +81,19 @@ class SpeedProbe:
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
+def trimmed_mean(samples):
+    ordered = sorted(samples)
+    cut = int(len(ordered) * TRIM)
+    return statistics.fmean(ordered[cut:len(ordered) - cut])
+
+
 def in_reference_units(timed):
     """Scale ``(seconds, samples)`` pairs of one round to reference units."""
     pooled = [s for _, samples in timed for s in samples]
     if not pooled:
         raise ValueError("the speed probe took no sample in this round")
-    fallback = statistics.median(pooled)
+    fallback = trimmed_mean(pooled)
     return [
-        seconds / (statistics.median(samples) if len(samples) >= MIN_SAMPLES else fallback)
+        seconds / (trimmed_mean(samples) if len(samples) >= MIN_SAMPLES else fallback)
         for seconds, samples in timed
     ]

@@ -57,26 +57,37 @@ def _with_lines(payload, lines):
     return out
 
 
-def test_dropped_line_fails(spectrum):
+def _symptoms(payload):
+    return {symptom for symptom, _ in _spectrum_problems(payload)}
+
+
+def test_dropped_line_is_missing(spectrum):
     damaged = _with_lines(spectrum, spectrum["lines"][1:])
-    assert _spectrum_problems(damaged)
+    assert _symptoms(damaged) == {checks.MISSING}
 
 
-def test_duplicated_line_fails(spectrum):
+def test_duplicated_line_is_repeated(spectrum):
     lines = spectrum["lines"]
     damaged = _with_lines(spectrum, lines + [lines[-1]])
-    assert _spectrum_problems(damaged)
+    assert _symptoms(damaged) == {checks.REPEATED}
 
 
 @pytest.mark.parametrize("shift", [1, -1])
-def test_changed_degeneracy_fails(spectrum, shift):
+def test_changed_degeneracy_is_wrong(spectrum, shift):
     lines = copy.deepcopy(spectrum["lines"])
     line = max(lines, key=lambda ln: ln["degeneracy"])
     line["degeneracy"] += shift
-    assert _spectrum_problems(_with_lines(spectrum, lines))
+    assert checks.OTHER in _symptoms(_with_lines(spectrum, lines))
 
 
-def test_degeneracy_moved_between_lines_fails(spectrum):
+def test_repeat_with_other_degeneracy_is_wrong(spectrum):
+    lines = copy.deepcopy(spectrum["lines"])
+    extra = copy.deepcopy(lines[-1])
+    extra["degeneracy"] += 1
+    assert checks.OTHER in _symptoms(_with_lines(spectrum, lines + [extra]))
+
+
+def test_degeneracy_moved_between_lines_is_wrong(spectrum):
     lines = copy.deepcopy(spectrum["lines"])
     lines.sort(key=lambda ln: -ln["degeneracy"])
     lines[0]["degeneracy"] -= 1
@@ -85,22 +96,30 @@ def test_degeneracy_moved_between_lines_fails(spectrum):
     assert checks.site_dim(spectrum["spin"]) ** spectrum["n_sites"] == sum(
         ln["degeneracy"] for ln in lines
     )
-    assert _spectrum_problems(damaged)
+    assert checks.OTHER in _symptoms(damaged)
 
 
-def test_moved_root_fails(spectrum):
+def test_moved_root_is_wrong(spectrum):
     lines = copy.deepcopy(spectrum["lines"])
     line = next(ln for ln in lines if ln["roots"])
     root = line["roots"][0]
     root["re"], root["im"] = 1.001 * root["re"], 1.001 * root["im"]
-    assert _spectrum_problems(_with_lines(spectrum, lines))
+    assert checks.OTHER in _symptoms(_with_lines(spectrum, lines))
+
+
+def test_dropped_and_moved_is_wrong(spectrum):
+    lines = copy.deepcopy(spectrum["lines"][1:])
+    line = next(ln for ln in lines if ln["roots"])
+    root = line["roots"][0]
+    root["re"], root["im"] = 1.001 * root["re"], 1.001 * root["im"]
+    assert _symptoms(_with_lines(spectrum, lines)) == {checks.MISSING, checks.OTHER}
 
 
 def test_wrong_open_energy_fails():
     payload = _payload("solve", "--sites", "3", "--spin", "1/2")
     assert _spectrum_problems(payload) == []
     payload["lines"][-1]["energy"]["re"] += 1e-3
-    assert any("energy" in p for p in _spectrum_problems(payload))
+    assert any("energy" in p for _, p in _spectrum_problems(payload))
 
 
 @pytest.mark.parametrize("number", [2, 5, 7])
@@ -128,11 +147,3 @@ def test_verify_checker():
     assert checks.check_verify(damaged, "tl-algebra")
     damaged["suites"][0]["checks"] = []
     assert checks.check_verify(damaged, "tl-algebra")
-
-
-def test_per_layer_metrics_match_benchmark_json():
-    import spans
-
-    doc = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    listed = {m["name"]: m["unit"] for m in doc["per_layer"]}
-    assert listed == spans.LAYER_METRICS
