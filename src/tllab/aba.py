@@ -17,7 +17,7 @@ import numpy as np
 from .core import POLE_TOL, DomainError, ModelParams, omega
 from .operators import crossing_pair
 from .transfer import aux_blocks, open_transfer
-from .bethe import eval_lambda, lambda_partial
+from .bethe import bethe_residuals, eval_lambda, lambda_partial
 from .symmetry import generator_blocks
 
 __all__ = [
@@ -120,14 +120,14 @@ def offshell_coefficient(u, values, k: int, params: ModelParams) -> complex:
 
     lambda_k = -omega(q) omega(u^2 q^2) omega(u_k^2)
                / [omega(u/u_k) omega(u u_k q) omega(u_k^2 q)]
-               * [ omega(u_k q)^(2N) prod_(j!=k) omega(u_k/(u_j q)) omega(u_k u_j)
-                                              / (omega(u_k/u_j) omega(u_k u_j q))
-                 - omega(u_k)^(2N)  prod_(j!=k) omega(u_k q/u_j) omega(u_k u_j q^2)
-                                              / (omega(u_k/u_j) omega(u_k u_j q)) ].
+               * (A_k - B_k) / prod_(j!=k) omega(u_k/u_j) omega(u_k u_j q),
+
+    with A_k, B_k the two sides of the k-th open Bethe equation
+    (``bethe.bethe_sides``); at unit weights A_k carries omega(u_k q)^(2N)
+    and B_k omega(u_k)^(2N).
     """
     u = complex(u)
     q = params.q
-    two_n = 2 * params.n_sites
     uk = complex(values[k])
     for name, val in (
         ("omega(u/u_k)", omega(u / uk)),
@@ -142,18 +142,15 @@ def offshell_coefficient(u, values, k: int, params: ModelParams) -> complex:
         * omega(uk * uk)
         / (omega(u / uk) * omega(u * uk * q) * omega(uk * uk * q))
     )
-    t1 = omega(uk * q) ** two_n
-    t2 = omega(uk) ** two_n
+    denom = 1.0 + 0.0j
     for j, uj in enumerate(values):
         if j == k:
             continue
-        uj = complex(uj)
-        denom = omega(uk / uj) * omega(uk * uj * q)
-        if abs(denom) < POLE_TOL:
+        pair = omega(uk / complex(uj)) * omega(uk * complex(uj) * q)
+        if abs(pair) < POLE_TOL:
             raise DomainError("offshell coefficient pole: coincident values")
-        t1 *= omega(uk / (uj * q)) * omega(uk * uj) / denom
-        t2 *= omega(uk * q / uj) * omega(uk * uj * q * q) / denom
-    return pref * (t1 - t2)
+        denom *= pair
+    return pref * bethe_residuals(values, params, "open")[k] / denom
 
 
 @dataclass(frozen=True)

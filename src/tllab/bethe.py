@@ -1,13 +1,19 @@
-"""Bethe-ansatz eigenvalue functions, residuals, and derived observables.
+"""Bethe-ansatz eigenvalue, Bethe equations and their derivatives.
 
 Roots always refer to the multiplicative spectral variable.  Open-chain
 Q-functions are crossing symmetric, Q(u) = prod_k omega(u/u_k) omega(u q u_k),
 while closed-chain ones are plain products Q(u) = prod_k omega(u/u_k).
+
+Each formula is implemented once, as a kernel batched over candidate root
+tuples and spectral points: the two sides of the Bethe equations with their
+Jacobian (``bethe_sides``, ``newton_system``) and the eigenvalue Lambda with
+its root gradient (``_lambda_terms``).  The scalar functions are thin
+wrappers around them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +28,24 @@ from .core import (
 
 __all__ = [
     "BetheSolution",
-    "SpectralLine",
+    "sector_phase",
+    "bethe_sides",
+    "newton_system",
     "eval_a_d",
     "q_function",
     "eval_lambda",
+    "pole_free_lambda",
     "lambda_partial",
     "bethe_residuals",
     "energy",
     "twist_from_roots",
     "shift_eigenvalue",
-    "lambda_leading",
 ]
+
+#: Factor by which a probe point is moved off a pole of Lambda, and the
+#: number of moves tried before giving up.
+PROBE_NUDGE = 1.0001937
+PROBE_TRIES = 60
 
 
 @dataclass(frozen=True)
@@ -54,65 +67,229 @@ class BetheSolution:
         return len(self.roots)
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    """A Bethe solution together with everything measured about it."""
-
-    solution: BetheSolution
-    energy: complex | None = None
-    lambda_samples: tuple = ()
-    deg_measured: int | None = None
-    deg_predicted: int | None = None
-    shift: complex | None = None
-    warnings: tuple = field(default=())
-
-
 def _phi(x):
     """Logarithmic derivative omega'(x)/omega(x)."""
     return omega_prime(x) / omega(x)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("open", "closed"):
+        raise DomainError(f"kind must be 'open' or 'closed', got {kind!r}")
+
+
+def sector_phase(sector: int, params: ModelParams):
+    """The root-free factor c_l = e^(2 pi i l/N) e^(-i pi s N) of the twist."""
+    n = params.n_sites
+    return np.exp(2j * np.pi * sector / n) * pi_phase(-params.twice_spin * n / 2.0)
+
+
+def _twist(u, c_l, q):
+    """kappa = c_l prod_k omega(u_k)/omega(q u_k) over the last axis of u."""
+    return c_l * np.prod(omega(u) / omega(q * u), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels
+
+
+def _vacuum(p, params: ModelParams, kind: str, jac: bool = False):
+    """Site-weight products at the points p (any shape):
+
+      pa(p) = prod_i omega(p q/th_i) [omega(p q th_i)],
+      pb(p) = prod_i omega(p/th_i)   [omega(p th_i)],
+
+    the bracketed factors on the open chain only.  With ``jac`` also the
+    derivatives in p of log pa and log pb (else None).
+    """
+    q = params.q
+    th = np.asarray(params.thetas, dtype=complex)
+    pt = p[..., None]
+    fa = omega(pt * q / th)
+    fb = omega(pt / th)
+    if kind == "open":
+        fa = fa * omega(pt * q * th)
+        fb = fb * omega(pt * th)
+    pa, pb = np.prod(fa, axis=-1), np.prod(fb, axis=-1)
+    if not jac:
+        return pa, pb, None, None
+    da = _phi(pt * q / th) * (q / th)
+    db = _phi(pt / th) / th
+    if kind == "open":
+        da = da + _phi(pt * q * th) * (q * th)
+        db = db + _phi(pt * th) * th
+    return pa, pb, np.sum(da, axis=-1), np.sum(db, axis=-1)
+
+
+def _pairs(p, u, q, kind: str, jac: bool = False):
+    """Pair factors of points p (..., P) with roots u (..., m), shape (..., P, m).
+
+    With x = p/u_i and y = p u_i,
+
+      ga = omega(x/q) [omega(y)],        prod_i ga = Q(p/q),
+      gb = omega(x q) [omega(y q^2)],    prod_i gb = Q(p q),
+
+    the bracketed factors on the open chain only.  With ``jac`` also
+    (da, db, ea, eb): the derivatives of log ga and log gb in the root u_i
+    (da, db) and in the point p (ea, eb); else None.
+    """
+    pk = p[..., :, None]
+    ui = u[..., None, :]
+    x = pk / ui
+    y = pk * ui
+    ga = omega(x / q)
+    gb = omega(x * q)
+    if kind == "open":
+        ga = ga * omega(y)
+        gb = gb * omega(y * q * q)
+    if not jac:
+        return ga, gb, None
+    phi_a = _phi(x / q)
+    phi_b = _phi(x * q)
+    da = phi_a * (-pk / (q * ui * ui))
+    db = phi_b * (-q * pk / (ui * ui))
+    ea = phi_a / (q * ui)
+    eb = phi_b * (q / ui)
+    if kind == "open":
+        phi_y = _phi(y)
+        phi_yb = _phi(y * q * q)
+        da = da + phi_y * pk
+        db = db + phi_yb * (q * q * pk)
+        ea = ea + phi_y * ui
+        eb = eb + phi_yb * (q * q * ui)
+    return ga, gb, (da, db, ea, eb)
+
+
+def bethe_sides(u, params: ModelParams, kind: str, kappa=None, jac: bool = False):
+    """Both sides of the cleared Bethe equations for a batch of root tuples.
+
+    ``u`` has shape (b, m): b candidate tuples of m roots.  The closed chain
+    needs the twists ``kappa``, shape (b,).
+
+      open:   A_k = pa(u_k) prod_{j!=k} omega(u_k/(q u_j)) omega(u_k u_j)
+              B_k = pb(u_k) prod_{j!=k} omega(u_k q/u_j) omega(u_k q^2 u_j)
+      closed: A_k = kappa   pa(u_k) prod_{j!=k} omega(u_k/(q u_j))
+              B_k = 1/kappa pb(u_k) prod_{j!=k} omega(u_k q/u_j)
+
+    with pa(u) = prod_i omega(u q/th_i) [omega(u q th_i)] and
+    pb(u) = prod_i omega(u/th_i) [omega(u th_i)], the bracketed factors on
+    the open chain only.  Returns (A, B, J), each of shape (b, m) except
+    J[:, k, i] = d(A_k - B_k)/du_i at fixed kappa; J is None without ``jac``.
+    """
+    m = u.shape[-1]
+    idx = np.arange(m)
+    with np.errstate(all="ignore"):
+        pa, pb, da_t, db_t = _vacuum(u, params, kind, jac)
+        ga, gb, d = _pairs(u, u, params.q, kind, jac)
+        ga[..., idx, idx] = 1.0
+        gb[..., idx, idx] = 1.0
+        if kappa is not None:
+            pa = kappa[:, None] * pa
+        a = pa * np.prod(ga, axis=-1)
+        b = pb * np.prod(gb, axis=-1)
+        if kappa is not None:
+            b = b / kappa[:, None]
+        if not jac:
+            return a, b, None
+        da, db, ea, eb = d
+        ea[..., idx, idx] = 0.0
+        eb[..., idx, idx] = 0.0
+        ja = a[..., None] * da
+        jb = b[..., None] * db
+        ja[..., idx, idx] = a * (da_t + np.sum(ea, axis=-1))
+        jb[..., idx, idx] = b * (db_t + np.sum(eb, axis=-1))
+        return a, b, ja - jb
+
+
+def newton_system(params: ModelParams, kind: str, sector=None):
+    """The Bethe equations as one batched function for Newton's method.
+
+    Returns fun(u, jac=True) mapping root tuples u of shape (b, m) to
+    (r, rs, J): the residuals A_k - B_k, the same scaled by
+    1 + |A_k| + |B_k|, and the Jacobian dr_k/du_i (None without ``jac``).
+    On the closed chain kappa = c_l prod_k omega(u_k)/omega(q u_k) follows
+    the roots, and its derivative enters the Jacobian.
+    """
+    _check_kind(kind)
+    q = params.q
+    c_l = sector_phase(sector, params) if kind == "closed" else None
+
+    def fun(u, jac=True):
+        with np.errstate(all="ignore"):
+            kappa = None if c_l is None else _twist(u, c_l, q)
+            a, b, j = bethe_sides(u, params, kind, kappa, jac)
+            r = a - b
+            rs = r / (1.0 + np.abs(a) + np.abs(b))
+            if j is not None and kappa is not None:
+                dlog_kappa = _phi(u) - q * _phi(q * u)  # (b, m), in u_i
+                j += a[:, :, None] * dlog_kappa[:, None, :]
+                j += b[:, :, None] * dlog_kappa[:, None, :]
+        return r, rs, j
+
+    return fun
+
+
+def _amplitudes(v, params: ModelParams, kind: str, twist=None):
+    """Vacuum amplitudes a(v), d(v) at the points v, and the mask of the
+    points off their poles."""
+    _check_kind(kind)
+    q = params.q
+    pa, pb, _, _ = _vacuum(v, params, kind)
+    if kind == "open":
+        den = omega(v * v * q)
+        ok = ~(np.abs(den) < POLE_TOL)
+        return -(omega(v * v * q * q) / den) * pa, -(omega(v * v) / den) * pb, ok
+    if twist is None:
+        raise DomainError("closed-chain a/d need the twist kappa")
+    sign = pi_phase(params.twice_spin * params.n_sites / 2.0)
+    return twist * sign * pa, sign * pb / twist, np.ones(v.shape, dtype=bool)
+
+
+def _lambda_terms(v, roots, params: ModelParams, kind: str, twist=None,
+                  grad: bool = False):
+    """The terms a(v) Q(v/q)/Q(v) and d(v) Q(v q)/Q(v) of Lambda(v).
+
+    ``v`` has shape (P,).  Returns ((term_a, term_d), dlogs, ok): ``ok``
+    marks the points off the poles of Lambda, and with ``grad`` ``dlogs``
+    holds the derivatives of log term_a and log term_d in each root, shape
+    (P, m), at fixed twist (else None).
+    """
+    q = params.q
+    u = np.asarray(roots, dtype=complex).reshape(-1)
+    n = v.shape[0]
+    with np.errstate(all="ignore"):
+        a, d, ok = _amplitudes(v, params, kind, twist)
+        # Q(v/q) = prod ga(v), Q(v q) = prod gb(v) and Q(v) = prod ga(v q)
+        ga, gb, derivs = _pairs(np.concatenate([v, v * q]), u, q, kind, grad)
+        q_v = np.prod(ga[n:], axis=-1)
+        ok = ok & ~(np.abs(q_v) < POLE_TOL)
+        terms = (
+            a * np.prod(ga[:n], axis=-1) / q_v,
+            d * np.prod(gb[:n], axis=-1) / q_v,
+        )
+    if not grad:
+        return terms, None, ok
+    da, db = derivs[0], derivs[1]
+    return terms, (da[:n] - da[n:], db[:n] - da[n:]), ok
+
+
+# ---------------------------------------------------------------------------
+# scalar API
+
+
 def eval_a_d(u, params: ModelParams, kind: str, twist=None):
     """The vacuum amplitudes (a(u), d(u)) entering the eigenvalue ansatz."""
-    u = complex(u)
-    q = params.q
-    if kind == "open":
-        denom = omega(u * u * q)
-        if abs(denom) < POLE_TOL:
-            raise DomainError(f"a/d pole: omega(u^2 q) vanishes at u = {u}")
-        prod_a = 1.0 + 0.0j
-        prod_d = 1.0 + 0.0j
-        for theta in params.thetas:
-            prod_a *= omega(u * q / theta) * omega(u * q * theta)
-            prod_d *= omega(u / theta) * omega(u * theta)
-        a = -(omega(u * u * q * q) / denom) * prod_a
-        d = -(omega(u * u) / denom) * prod_d
-        return a, d
-    if kind == "closed":
-        if twist is None:
-            raise DomainError("closed-chain a/d need the twist kappa")
-        sign = pi_phase(params.twice_spin / 2.0)
-        prod_a = 1.0 + 0.0j
-        prod_d = 1.0 + 0.0j
-        for theta in params.thetas:
-            prod_a *= sign * omega(u * q / theta)
-            prod_d *= sign * omega(u / theta)
-        return twist * prod_a, prod_d / twist
-    raise DomainError(f"kind must be 'open' or 'closed', got {kind!r}")
+    a, d, ok = _amplitudes(np.array([complex(u)]), params, kind, twist)
+    if not ok[0]:
+        raise DomainError(f"a/d pole: omega(u^2 q) vanishes at u = {u}")
+    return complex(a[0]), complex(d[0])
 
 
 def q_function(u, roots, q, kind: str):
-    u = complex(u)
-    out = 1.0 + 0.0j
-    if kind == "open":
-        for r in roots:
-            out *= omega(u / r) * omega(u * q * r)
-    elif kind == "closed":
-        for r in roots:
-            out *= omega(u / r)
-    else:
-        raise DomainError(f"kind must be 'open' or 'closed', got {kind!r}")
-    return out
+    """Q(u) = prod_k omega(u/u_k) [omega(u q u_k)], the bracket open only."""
+    _check_kind(kind)
+    u = np.array([complex(u) * q])
+    ga, _, _ = _pairs(u, np.asarray(roots, dtype=complex).reshape(-1), q, kind)
+    return complex(np.prod(ga[0]))
 
 
 def eval_lambda(u, roots, params: ModelParams, kind: str, twist=None):
@@ -120,15 +297,28 @@ def eval_lambda(u, roots, params: ModelParams, kind: str, twist=None):
 
     Lambda(u) = a(u) Q(u/q)/Q(u) + d(u) Q(u q)/Q(u).
     """
-    u = complex(u)
-    q = params.q
-    qu = q_function(u, roots, q, kind)
-    if abs(qu) < POLE_TOL:
-        raise DomainError(f"Q(u) vanishes at u = {u}; Lambda has a pole there")
-    a, d = eval_a_d(u, params, kind, twist)
-    return a * q_function(u / q, roots, q, kind) / qu + d * q_function(
-        u * q, roots, q, kind
-    ) / qu
+    (term_a, term_d), _, ok = _lambda_terms(
+        np.array([complex(u)]), roots, params, kind, twist
+    )
+    if not ok[0]:
+        raise DomainError(f"Lambda has a pole at u = {u}")
+    return complex(term_a[0] + term_d[0])
+
+
+def pole_free_lambda(points, roots, params: ModelParams, kind: str, twist=None):
+    """Lambda at each of the points, nudged deterministically off its poles.
+
+    A point where Lambda has a pole is multiplied by PROBE_NUDGE until it
+    has none, at most PROBE_TRIES times.  Returns (points, values) as
+    arrays; raises DomainError when some point finds no pole-free place.
+    """
+    p = np.array(points, dtype=complex).reshape(-1)
+    for _ in range(PROBE_TRIES):
+        (term_a, term_d), _, ok = _lambda_terms(p, roots, params, kind, twist)
+        if ok.all():
+            return p, term_a + term_d
+        p = np.where(ok, p, p * PROBE_NUDGE)
+    raise DomainError("no pole-free probe point found for Lambda")
 
 
 def lambda_partial(v, roots, params: ModelParams, kind: str = "open", sector=None):
@@ -137,104 +327,43 @@ def lambda_partial(v, roots, params: ModelParams, kind: str = "open", sector=Non
     For the closed chain the twist kappa is itself a function of the roots
     (through the sector label), and that dependence is included.
     """
-    v = complex(v)
-    q = params.q
-    roots = tuple(complex(r) for r in roots)
-    qu = q_function(v, roots, q, kind)
-    if abs(qu) < POLE_TOL:
-        raise DomainError(f"Q(v) vanishes at v = {v}")
-    if kind == "open":
-        a, d = eval_a_d(v, params, "open")
-        term_a = a * q_function(v / q, roots, q, "open") / qu
-        term_d = d * q_function(v * q, roots, q, "open") / qu
-        grad = np.zeros(len(roots), dtype=complex)
-        for i, ui in enumerate(roots):
-            l1 = (
-                _phi(v / (q * ui)) * (-v / (q * ui * ui))
-                + _phi(v * ui) * v
-                - _phi(v / ui) * (-v / (ui * ui))
-                - _phi(v * q * ui) * (v * q)
-            )
-            l2 = (
-                _phi(v * q / ui) * (-v * q / (ui * ui))
-                + _phi(v * q * q * ui) * (v * q * q)
-                - _phi(v / ui) * (-v / (ui * ui))
-                - _phi(v * q * ui) * (v * q)
-            )
-            grad[i] = term_a * l1 + term_d * l2
-        return grad
+    twist = None
     if kind == "closed":
         if sector is None:
             raise DomainError("closed-chain lambda_partial needs the sector label")
-        kappa = twist_from_roots(roots, sector, params)
-        a, d = eval_a_d(v, params, "closed", kappa)
-        term_a = a * q_function(v / q, roots, q, "closed") / qu
-        term_d = d * q_function(v * q, roots, q, "closed") / qu
-        grad = np.zeros(len(roots), dtype=complex)
-        for i, ui in enumerate(roots):
-            dlog_kappa = _phi(ui) - q * _phi(q * ui)
-            l1 = (
-                _phi(v / (q * ui)) * (-v / (q * ui * ui))
-                - _phi(v / ui) * (-v / (ui * ui))
-            )
-            l2 = (
-                _phi(v * q / ui) * (-v * q / (ui * ui))
-                - _phi(v / ui) * (-v / (ui * ui))
-            )
-            grad[i] = term_a * (l1 + dlog_kappa) + term_d * (l2 - dlog_kappa)
-        return grad
-    raise DomainError(f"kind must be 'open' or 'closed', got {kind!r}")
+        twist = twist_from_roots(roots, sector, params)
+    (term_a, term_d), (dlog_a, dlog_d), ok = _lambda_terms(
+        np.array([complex(v)]), roots, params, kind, twist, grad=True
+    )
+    if not ok[0]:
+        raise DomainError(f"Lambda has a pole at v = {v}")
+    grad = term_a[0] * dlog_a[0] + term_d[0] * dlog_d[0]
+    if kind == "closed":
+        u = np.asarray(roots, dtype=complex).reshape(-1)
+        grad = grad + (term_a[0] - term_d[0]) * (_phi(u) - params.q * _phi(params.q * u))
+    return grad
 
 
 def bethe_residuals(
     roots, params: ModelParams, kind: str, twist=None, scaled: bool = False
 ):
-    """Cleared-denominator Bethe-equation residuals, one per root.
+    """Cleared-denominator Bethe-equation residuals A_k - B_k, one per root.
 
-    Open chain (inhomogeneous weights allowed):
-      A_k = prod_i omega(u_k q/th_i) omega(u_k q th_i)
-            * prod_{j!=k} omega(u_k/(q u_j)) omega(u_k u_j)
-      B_k = prod_i omega(u_k/th_i) omega(u_k th_i)
-            * prod_{j!=k} omega(u_k q/u_j) omega(u_k q^2 u_j)
-    Closed chain:
-      A_k = kappa   * prod_i omega(u_k q/th_i) * prod_{j!=k} omega(u_k/(q u_j))
-      B_k = 1/kappa * prod_i omega(u_k/th_i)   * prod_{j!=k} omega(u_k q/u_j)
-    The residual is A_k - B_k; with ``scaled`` it is divided by
+    A_k and B_k are given in ``bethe_sides``; the closed chain needs the
+    twist kappa.  With ``scaled`` each residual is divided by
     1 + |A_k| + |B_k|.
     """
-    roots = [complex(r) for r in roots]
-    q = params.q
-    m = len(roots)
-    res = np.zeros(m, dtype=complex)
-    if kind == "closed" and twist is None:
-        raise DomainError("closed-chain residuals need the twist kappa")
-    for k, uk in enumerate(roots):
-        if kind == "open":
-            a_k = 1.0 + 0.0j
-            b_k = 1.0 + 0.0j
-            for theta in params.thetas:
-                a_k *= omega(uk * q / theta) * omega(uk * q * theta)
-                b_k *= omega(uk / theta) * omega(uk * theta)
-            for j, uj in enumerate(roots):
-                if j == k:
-                    continue
-                a_k *= omega(uk / (q * uj)) * omega(uk * uj)
-                b_k *= omega(uk * q / uj) * omega(uk * q * q * uj)
-        else:
-            a_k = complex(twist)
-            b_k = 1.0 / complex(twist)
-            for theta in params.thetas:
-                a_k *= omega(uk * q / theta)
-                b_k *= omega(uk / theta)
-            for j, uj in enumerate(roots):
-                if j == k:
-                    continue
-                a_k *= omega(uk / (q * uj))
-                b_k *= omega(uk * q / uj)
-        diff = a_k - b_k
-        if scaled:
-            diff = diff / (1.0 + abs(a_k) + abs(b_k))
-        res[k] = diff
+    _check_kind(kind)
+    kappa = None
+    if kind == "closed":
+        if twist is None:
+            raise DomainError("closed-chain residuals need the twist kappa")
+        kappa = np.array([complex(twist)])
+    u = np.asarray(roots, dtype=complex).reshape(1, -1)
+    a, b, _ = bethe_sides(u, params, kind, kappa)
+    res = a[0] - b[0]
+    if scaled:
+        res = res / (1.0 + np.abs(a[0]) + np.abs(b[0]))
     return res
 
 
@@ -254,12 +383,8 @@ def energy(roots, params: ModelParams):
 
 def twist_from_roots(roots, sector: int, params: ModelParams):
     """Closed-chain twist kappa determined by the roots and momentum label."""
-    n = params.n_sites
-    q = params.q
-    kappa = np.exp(2j * np.pi * sector / n) * pi_phase(-params.twice_spin * n / 2.0)
-    for r in roots:
-        kappa *= omega(r) / omega(q * r)
-    return complex(kappa)
+    u = np.asarray(roots, dtype=complex).reshape(-1)
+    return complex(_twist(u, sector_phase(sector, params), params.q))
 
 
 def shift_eigenvalue(solution: BetheSolution, params: ModelParams):
@@ -270,18 +395,3 @@ def shift_eigenvalue(solution: BetheSolution, params: ModelParams):
     for r in solution.roots:
         out *= omega(params.q * r) / omega(r)
     return complex(out)
-
-
-def lambda_leading(solution: BetheSolution, params: ModelParams):
-    """Coefficient of u^N in the closed-chain eigenvalue as u -> infinity.
-
-    lambda_inf = e^(i pi s N) (kappa q^(N-M) + kappa^(-1) q^M); it must be an
-    eigenvalue of the traced leading monodromy.
-    """
-    if solution.kind != "closed":
-        raise DomainError("leading eigenvalue defined for the closed chain")
-    n = params.n_sites
-    m = solution.n_roots
-    kappa = complex(solution.twist)
-    phase = pi_phase(params.twice_spin * n / 2.0)
-    return phase * (kappa * params.q ** (n - m) + params.q**m / kappa)

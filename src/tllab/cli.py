@@ -1,8 +1,10 @@
 """Command line interface: solve spectra, reproduce tables, verify identities.
 
-Exit codes: 0 when everything passed, 1 when a comparison or check failed,
-2 on usage or domain errors.  The environment variable ``TL_LAB_SEED``
-overrides the default seed for every subcommand.
+Exit codes: 0 when everything passed, 1 when a comparison or check failed
+(for ``solve``: measured degeneracies that do not sum to the dimension, or
+an ambiguous degeneracy count), 2 on usage or domain errors.  The
+environment variable ``TL_LAB_SEED`` overrides the default seed for every
+subcommand.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ def _cmd_solve(args) -> int:
         _write_json(spectrum_payload(report), args.json)
     if args.csv:
         _write_csv(spectrum_csv_rows(report), args.csv)
-    return 0
+    complete = report.total_degeneracy in (None, report.dimension)
+    return 0 if complete and not any(ln.ambiguous for ln in report.lines) else 1
 
 
 def _cmd_reproduce(args) -> int:

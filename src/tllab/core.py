@@ -35,7 +35,6 @@ __all__ = [
     "parse_spin",
     "format_spin",
     "fusion_trace",
-    "fused_product",
     "functional_rhs",
     "scaled_residual",
 ]
@@ -258,16 +257,6 @@ def fusion_trace(u, params: ModelParams):
     """
     sign = -1.0 if params.twice_spin % 2 == 0 else 1.0
     return sign * omega(np.asarray(u, dtype=complex) / params.q)
-
-
-def fused_product(u, params: ModelParams):
-    """f(u) = g(1/(u^2 q^3)) g(u^2 q) prod_i zeta(u q / theta_i) zeta(u q theta_i)."""
-    u = complex(u)
-    q = params.q
-    val = fusion_trace(1.0 / (u * u * q**3), params) * fusion_trace(u * u * q, params)
-    for th in params.thetas:
-        val *= zeta(u * q / th, q) * zeta(u * q * th, q)
-    return val
 
 
 def functional_rhs(u, params: ModelParams, kind: str = "open"):

@@ -1,8 +1,8 @@
 """Multistart Newton solver for the Bethe equations, with sector censuses.
 
 Seeds are drawn log-uniformly from an annulus and driven by a damped
-(backtracking) Newton iteration with analytic Jacobians, vectorized across
-the whole seed batch.  Converged roots pass through singularity guards,
+(backtracking) Newton iteration on the batched residual and Jacobian kernel
+of ``bethe.newton_system``, vectorized across the whole seed batch.  Converged roots pass through singularity guards,
 per-root canonicalization over the symmetry orbit of the equations, and
 deduplication keyed on eigenvalue fingerprints.
 """
@@ -15,13 +15,17 @@ from math import comb
 
 import numpy as np
 
-from .core import DomainError, ModelParams, omega, omega_prime, pi_phase
+from .core import DomainError, ModelParams, omega, pi_phase
 from .bethe import (
     BetheSolution,
     bethe_residuals,
-    eval_lambda,
+    newton_system,
+    pole_free_lambda,
+    sector_phase,
     twist_from_roots,
 )
+from .symmetry import DEGENERACY_PROBE, generator_blocks, measure_degeneracy
+from .transfer import transfer_matrix
 
 __all__ = [
     "SearchConfig",
@@ -43,6 +47,9 @@ __all__ = [
 GUARD_TOL = 1e-8
 MODULUS_BOUNDS = (1e-6, 1e6)
 FINGERPRINT_PROBES = (0.93 + 0.41j, 1.78 - 0.67j, 0.41 + 1.13j)
+#: Relative fingerprint distance below which two solutions are one line
+#: (see dedup_solutions).
+DEDUP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,6 @@ class SearchConfig:
     annulus: tuple = (0.3, 3.0)
     max_iter: int = 80
     tol: float = 1e-12
-    dedup_tol: float = 1e-6
     max_backtrack: int = 30
     rng_seed: int = 1234
 
@@ -97,139 +103,19 @@ def predicted_degeneracy(params: ModelParams, n_roots: int) -> int:
     return chebyshev_dim(params.n_sites - 2 * n_roots, params.site_dim)
 
 
-def expected_census(params: ModelParams, kind: str = "open"):
-    """Expected per-sector line counts (open chain only; closed is None)."""
-    out = []
-    for m in range(params.n_sites // 2 + 1):
-        k = params.n_sites - 2 * m
-        if kind == "open":
-            out.append(
-                SectorCensus(
-                    kind="open",
-                    sector=f"M={m}",
-                    found=0,
-                    expected=multiplicity(params.n_sites, k),
-                    dimension=predicted_degeneracy(params, m),
-                    complete=None,
-                )
-            )
-        else:
-            for l in range(params.n_sites):
-                out.append(
-                    SectorCensus(
-                        kind="closed",
-                        sector=f"M={m}, l={l}",
-                        found=0,
-                        expected=None,
-                        dimension=None,
-                        complete=None,
-                    )
-                )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# residuals and Jacobians, vectorized over a batch of candidate root tuples
-
-
-def _phi(z):
-    return omega_prime(z) / omega(z)
-
-
-def _open_fun_jac(params: ModelParams, with_jac: bool = True):
-    q = params.q
-    thetas = np.asarray(params.thetas, dtype=complex)
-
-    def fun(u, jac=with_jac):
-        b, m = u.shape
-        idx = np.arange(m)
-        with np.errstate(all="ignore"):
-            ut = u[..., None]
-            pa = np.prod(omega(ut * q / thetas) * omega(ut * q * thetas), axis=-1)
-            pb = np.prod(omega(ut / thetas) * omega(ut * thetas), axis=-1)
-            x = u[:, :, None] / u[:, None, :]
-            y = u[:, :, None] * u[:, None, :]
-            fa = omega(x / q) * omega(y)
-            fb = omega(x * q) * omega(y * q * q)
-            fa[:, idx, idx] = 1.0
-            fb[:, idx, idx] = 1.0
-            a = pa * np.prod(fa, axis=2)
-            bb = pb * np.prod(fb, axis=2)
-            r = a - bb
-            rs = r / (1.0 + np.abs(a) + np.abs(bb))
-            if not jac:
-                return r, rs, None
-            uk = u[:, :, None]
-            ui = u[:, None, :]
-            ja = a[:, :, None] * (
-                _phi(x / q) * (-uk / (q * ui * ui)) + _phi(y) * uk
-            )
-            jb = bb[:, :, None] * (
-                _phi(x * q) * (-q * uk / (ui * ui)) + _phi(y * q * q) * (q * q * uk)
-            )
-            da_t = np.sum(
-                _phi(ut * q / thetas) * (q / thetas)
-                + _phi(ut * q * thetas) * (q * thetas),
-                axis=-1,
-            )
-            db_t = np.sum(
-                _phi(ut / thetas) / thetas + _phi(ut * thetas) * thetas, axis=-1
-            )
-            pair_a = _phi(x / q) / (q * ui) + _phi(y) * ui
-            pair_b = _phi(x * q) * (q / ui) + _phi(y * q * q) * (q * q * ui)
-            pair_a[:, idx, idx] = 0.0
-            pair_b[:, idx, idx] = 0.0
-            ja[:, idx, idx] = a * (da_t + np.sum(pair_a, axis=2))
-            jb[:, idx, idx] = bb * (db_t + np.sum(pair_b, axis=2))
-            return r, rs, ja - jb
-
-    return fun
-
-
-def _closed_fun_jac(params: ModelParams, sector: int):
-    q = params.q
-    n = params.n_sites
-    thetas = np.asarray(params.thetas, dtype=complex)
-    c_l = np.exp(2j * np.pi * sector / n) * pi_phase(-params.twice_spin * n / 2.0)
-
-    def fun(u, jac=True):
-        b, m = u.shape
-        idx = np.arange(m)
-        with np.errstate(all="ignore"):
-            ut = u[..., None]
-            kappa = c_l * np.prod(omega(u) / omega(q * u), axis=-1)
-            pa = np.prod(omega(ut * q / thetas), axis=-1)
-            pb = np.prod(omega(ut / thetas), axis=-1)
-            x = u[:, :, None] / u[:, None, :]
-            fa = omega(x / q)
-            fb = omega(x * q)
-            fa[:, idx, idx] = 1.0
-            fb[:, idx, idx] = 1.0
-            a = kappa[:, None] * pa * np.prod(fa, axis=2)
-            bb = pb * np.prod(fb, axis=2) / kappa[:, None]
-            r = a - bb
-            rs = r / (1.0 + np.abs(a) + np.abs(bb))
-            if not jac:
-                return r, rs, None
-            uk = u[:, :, None]
-            ui = u[:, None, :]
-            dlog_kappa = _phi(u) - q * _phi(q * u)  # (b, m), derivative wrt u_i
-            ja = a[:, :, None] * (_phi(x / q) * (-uk / (q * ui * ui)))
-            jb = bb[:, :, None] * (_phi(x * q) * (-q * uk / (ui * ui)))
-            da_t = np.sum(_phi(ut * q / thetas) * (q / thetas), axis=-1)
-            db_t = np.sum(_phi(ut / thetas) / thetas, axis=-1)
-            pair_a = _phi(x / q) / (q * ui)
-            pair_b = _phi(x * q) * (q / ui)
-            pair_a[:, idx, idx] = 0.0
-            pair_b[:, idx, idx] = 0.0
-            ja[:, idx, idx] = a * (da_t + np.sum(pair_a, axis=2))
-            jb[:, idx, idx] = bb * (db_t + np.sum(pair_b, axis=2))
-            j = ja - jb
-            j += a[:, :, None] * dlog_kappa[:, None, :]
-            j += bb[:, :, None] * dlog_kappa[:, None, :]
-            return r, rs, j
-
-    return fun
+def expected_census(params: ModelParams):
+    """Expected per-sector line counts of the open chain."""
+    return [
+        SectorCensus(
+            kind="open",
+            sector=f"M={m}",
+            found=0,
+            expected=multiplicity(params.n_sites, params.n_sites - 2 * m),
+            dimension=predicted_degeneracy(params, m),
+            complete=None,
+        )
+        for m in range(params.n_sites // 2 + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +279,7 @@ def canonical_roots(roots, q, kind: str):
 
 def fingerprint(roots, params: ModelParams, kind: str, twist=None) -> np.ndarray:
     """Eigenvalue samples at fixed probes, used as a spectral-line identity."""
-    vals = []
-    for probe in FINGERPRINT_PROBES:
-        p = complex(probe)
-        for _ in range(60):
-            try:
-                vals.append(eval_lambda(p, roots, params, kind, twist))
-                break
-            except DomainError:
-                p *= 1.0001937
-        else:
-            raise DomainError("could not find a pole-free fingerprint probe")
-    return np.array(vals)
+    return pole_free_lambda(FINGERPRINT_PROBES, roots, params, kind, twist)[1]
 
 
 def _residual_norm(roots, params, kind, twist) -> float:
@@ -448,10 +323,16 @@ def dedup_solutions(solutions, params: ModelParams):
     """Collapse solutions that describe the same spectral line.
 
     Identity is judged by the eigenvalue fingerprint (same Lambda function
-    means same line, whatever the root bookkeeping).  A clearly smaller
-    residual norm wins; at comparable residuals the smaller total root
-    magnitude does, so crossing partners collapse onto the customary
-    representative.
+    means same line, whatever the root bookkeeping): two solutions of one
+    sector are one line when their fingerprints agree to DEDUP_TOL relative
+    to 1 + their largest entry.  Newton stops at a scaled residual of 1e-12,
+    but an ill-conditioned root carries a larger error into Lambda: the
+    copies of the closed N=3, s=1/2, q=0.7 root 1.19523 differ by up to
+    3e-10.  Distinct lines of one sector differ by at least 8e-3 over the
+    stored tables and the N=5, 6 spectra, so 1e-6 sits between the two.  A
+    clearly smaller residual norm wins; at comparable residuals the smaller
+    total root magnitude does, so crossing partners collapse onto the
+    customary representative.
     """
     kept = []
     prints = []
@@ -465,7 +346,7 @@ def dedup_solutions(solutions, params: ModelParams):
             if other.n_roots != sol.n_roots or other.sector != sol.sector:
                 continue
             scale = 1.0 + max(np.max(np.abs(prints[i])), np.max(np.abs(fp)))
-            if np.max(np.abs(prints[i] - fp)) < 1e-10 * scale:
+            if np.max(np.abs(prints[i] - fp)) < DEDUP_TOL * scale:
                 match = i
                 break
         if match is None:
@@ -544,8 +425,7 @@ def solve_sector_open(
         extra = _one_root_candidates(params, "open")
         if extra:
             seeds = np.vstack([np.array(extra, dtype=complex), seeds])
-    fun = _open_fun_jac(params)
-    raw = _newton_driver(fun, seeds, config)
+    raw = _newton_driver(newton_system(params, "open"), seeds, config)
     sols = []
     for roots in raw:
         if _passes_guards(roots, params, "open"):
@@ -561,17 +441,11 @@ def solve_sector_open(
 
 def _spectrum_member(sol: BetheSolution, params: ModelParams) -> bool:
     """Keep only candidate lines whose Lambda really is an eigenvalue."""
-    from .symmetry import DEGENERACY_PROBE, measure_degeneracy
-    from .transfer import transfer_matrix
-
-    probe = complex(DEGENERACY_PROBE)
-    for _ in range(60):
-        try:
-            lam = eval_lambda(probe, sol.roots, params, sol.kind, sol.twist)
-            break
-        except DomainError:
-            probe *= 1.0001937
-    else:
+    try:
+        (probe,), (lam,) = pole_free_lambda(
+            (DEGENERACY_PROBE,), sol.roots, params, sol.kind, sol.twist
+        )
+    except DomainError:
         return False
     te = transfer_matrix(probe, params, sol.kind)
     nullity, _ = measure_degeneracy(te, lam)
@@ -598,14 +472,8 @@ def solve_sector_closed(
     if 2 * n_roots > n:
         raise DomainError(f"M = {n_roots} exceeds N/2 = {n / 2} for the closed chain")
     if n_roots == 0:
-        kappa = np.exp(2j * np.pi * sector / n) * pi_phase(
-            -params.twice_spin * n / 2.0
-        )
-        cands = [
-            BetheSolution(
-                kind="closed", roots=(), sector=sector, twist=complex(kappa)
-            )
-        ]
+        twist = twist_from_roots((), sector, params)
+        cands = [BetheSolution(kind="closed", roots=(), sector=sector, twist=twist)]
     elif n == 2 and n_roots == 1:
         cands = _anchored_two_site(params, sector)
     else:
@@ -614,8 +482,7 @@ def solve_sector_closed(
             extra = _one_root_candidates(params, "closed", sector)
             if extra:
                 seeds = np.vstack([np.array(extra, dtype=complex), seeds])
-        fun = _closed_fun_jac(params, sector)
-        raw = _newton_driver(fun, seeds, config)
+        raw = _newton_driver(newton_system(params, "closed", sector), seeds, config)
         cands = []
         for roots in raw:
             if _passes_guards(roots, params, "closed"):
@@ -629,67 +496,23 @@ def solve_sector_closed(
     return dedup_solutions(cands, params)
 
 
-def _polish_anchored(root: complex, sector: int, params: ModelParams):
-    """Newton-polish a two-site anchored root on the transfer determinant.
-
-    The anchor quadratic has a double root at kappa = +-1, which turns the
-    tiny eigensolver error of the asymptotic trace into a sqrt-sized error
-    of the candidate. The determinant of t(probe) - Lambda(probe) has simple
-    zeros in the root, so a few Newton steps restore machine precision.
-    """
-    from .symmetry import DEGENERACY_PROBE
-    from .transfer import closed_transfer
-
-    q = params.q
-    c_l = np.exp(2j * np.pi * sector / params.n_sites) * pi_phase(
-        -params.twice_spin * params.n_sites / 2.0
-    )
-    probe = complex(DEGENERACY_PROBE)
-    mat = closed_transfer(probe, params).matrix
-    eye = np.eye(mat.shape[0])
-
-    def gap(u):
-        kappa = c_l * omega(u) / omega(q * u)
-        lam = eval_lambda(probe, (u,), params, "closed", kappa)
-        return np.linalg.det(mat - lam * eye)
-
-    u = complex(root)
-    try:
-        for _ in range(40):
-            h = 1e-7 * (1.0 + abs(u))
-            g0 = gap(u)
-            deriv = (gap(u + h) - gap(u - h)) / (2.0 * h)
-            if deriv == 0:
-                break
-            step = g0 / deriv
-            if not np.isfinite(step.real) or not np.isfinite(step.imag):
-                break
-            u -= step
-            if abs(step) < 1e-14 * (1.0 + abs(u)):
-                break
-    except (DomainError, ZeroDivisionError):
-        return complex(root)
-    if abs(u - root) > 1e-3 * (1.0 + abs(root)):
-        return complex(root)
-    return u
-
-
 def _anchored_two_site(params: ModelParams, sector: int):
-    from .transfer import closed_asymptotic_trace
-
     q = params.q
     phase = pi_phase(params.twice_spin * params.n_sites / 2.0)
-    c_l = np.exp(2j * np.pi * sector / 2.0) * pi_phase(-params.twice_spin)
-    eigs = np.linalg.eigvals(closed_asymptotic_trace(params, "+"))
+    c_l = sector_phase(sector, params)
+    trace = np.trace(generator_blocks(params, "+"), axis1=0, axis2=1)
+    eigs = np.linalg.eigvals(trace)
     uniq = []
     for lam in sorted(eigs, key=lambda z: (round(z.real, 8), round(z.imag, 8))):
         if not any(abs(lam - w) < 1e-8 * (1.0 + abs(w)) for w in uniq):
             uniq.append(lam)
     cands = []
     for lam in uniq:
-        # phase * q * (kappa + 1/kappa) = lam
+        # phase * q * (kappa + 1/kappa) = lam; at a double root kappa = +-1
+        # the eigensolver's roundoff in z would give kappa a sqrt-sized error
         z = lam / (phase * q)
-        disc = cmath.sqrt(z * z - 4.0)
+        disc = z * z - 4.0
+        disc = 0.0 if abs(disc) < 1e-12 * abs(z * z) else cmath.sqrt(disc)
         for kappa in ((z + disc) / 2.0, (z - disc) / 2.0):
             if kappa == 0:
                 continue
@@ -700,9 +523,6 @@ def _anchored_two_site(params: ModelParams, sector: int):
             if u2 == 0:
                 continue
             root = cmath.sqrt(u2)
-            if not _passes_guards((root,), params, "closed"):
-                continue
-            root = _polish_anchored(root, sector, params)
             if not _passes_guards((root,), params, "closed"):
                 continue
             sol = _make_solution((root,), params, "closed", sector=sector)
@@ -740,11 +560,7 @@ def refine(roots, params: ModelParams, kind: str, sector=None,
     """Polish a nearly-converged root tuple with the same damped Newton."""
     config = config or SearchConfig()
     seeds = np.array([list(roots)], dtype=complex)
-    if kind == "open":
-        fun = _open_fun_jac(params)
-    else:
-        fun = _closed_fun_jac(params, sector)
-    out = _newton_driver(fun, seeds, config)
+    out = _newton_driver(newton_system(params, kind, sector), seeds, config)
     if not out:
         raise DomainError("refinement did not converge")
     return _make_solution(out[0], params, kind, sector=sector)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DomainError, ModelParams
+from .core import ModelParams
 from .operators import (
     crossing_pair,
     embed_two,
@@ -28,7 +28,7 @@ from .transfer import (
     open_transfer,
     transfer_matrix,
 )
-from .bethe import eval_lambda
+from .bethe import pole_free_lambda
 
 __all__ = [
     "DEGENERACY_PROBE",
@@ -163,14 +163,6 @@ def line_degeneracy(
     The probe point is nudged deterministically off any pole of Lambda.
     Returns (nullity, ambiguous).
     """
-    p = complex(probe)
-    for _ in range(60):
-        try:
-            lam = eval_lambda(p, roots, params, kind, twist)
-            break
-        except DomainError:
-            p *= 1.0001937
-    else:
-        raise DomainError("no pole-free degeneracy probe found")
+    (p,), (lam,) = pole_free_lambda((probe,), roots, params, kind, twist)
     te = transfer_matrix(p, params, kind)
     return measure_degeneracy(te, lam, rank_tol)

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DomainError, ModelParams, omega
-from .operators import crossing_pair, r_asymptotic, r_matrix
+from .operators import crossing_pair, r_matrix
 
 __all__ = [
     "TransferEval",
@@ -28,7 +28,6 @@ __all__ = [
     "open_transfer",
     "closed_transfer",
     "transfer_matrix",
-    "closed_asymptotic_trace",
     "hamiltonian_from_transfer",
     "random_thetas",
 ]
@@ -154,14 +153,6 @@ def transfer_matrix(u, params: ModelParams, kind: str) -> TransferEval:
     if kind == "closed":
         return closed_transfer(u, params)
     raise DomainError(f"kind must be 'open' or 'closed', got {kind!r}")
-
-
-def closed_asymptotic_trace(params: ModelParams, sign: str = "+") -> np.ndarray:
-    """tr_aux of the leading-order monodromy (every site carrying R+ or R-)."""
-    d = params.site_dim
-    tensors = [r_asymptotic(sign, params).reshape(d, d, d, d)] * params.n_sites
-    blocks = _sweep_blocks(tensors, d, hatted=False)
-    return np.trace(blocks, axis1=0, axis2=1)
 
 
 def hamiltonian_from_transfer(params: ModelParams, step: float = 1e-6) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_criterion_2_completeness():
                     f"{rep.total_degeneracy} != {rep.dimension}"
                 )
             counts = Counter(ln.m for ln in rep.lines)
-            for cen in expected_census(params, "open"):
+            for cen in expected_census(params):
                 m = int(cen.sector.split("=")[1])
                 if counts.get(m, 0) != cen.expected:
                     failures.append(

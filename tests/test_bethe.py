@@ -2,19 +2,22 @@
 
 import numpy as np
 
+import pytest
+
 from tllab.bethe import (
     BetheSolution,
     bethe_residuals,
     energy,
     eval_lambda,
     lambda_partial,
+    newton_system,
     q_function,
     shift_eigenvalue,
     twist_from_roots,
 )
 from tllab.core import ModelParams, omega
 from tllab.operators import hamiltonian
-from tllab.transfer import closed_transfer, open_transfer
+from tllab.transfer import closed_transfer, open_transfer, random_thetas
 
 SPINS = ("1/2", "1", "3/2")
 
@@ -105,6 +108,28 @@ def test_lambda_partial_matches_finite_differences():
             - eval_lambda(v, tuple(shifted_m), params, "open")
         ) / (2.0 * h)
         assert abs(grad[k] - fd) < 1e-6 * (1.0 + abs(fd)), k
+
+
+@pytest.mark.parametrize(
+    "kind, sector, thetas",
+    [("open", None, False), ("open", None, True), ("closed", 2, False), ("closed", 1, True)],
+)
+def test_newton_jacobian_matches_central_differences(kind, sector, thetas):
+    # the closed chain's residuals depend on the roots through kappa as well,
+    # so its Jacobian carries the d log kappa / du_i term
+    rng = np.random.default_rng(11)
+    weights = random_thetas(4, rng, q=0.5) if thetas else None
+    params = ModelParams.create(4, "1", thetas=weights)
+    fun = newton_system(params, kind, sector)
+    u = np.exp(rng.uniform(-0.5, 0.5, (5, 3)) + 1j * rng.uniform(0, 2 * np.pi, (5, 3)))
+    _, _, jac = fun(u)
+    h = 1e-6
+    for i in range(3):
+        step = np.zeros(3)
+        step[i] = h
+        fd = (fun(u + step, jac=False)[0] - fun(u - step, jac=False)[0]) / (2.0 * h)
+        scale = 1.0 + np.max(np.abs(fd), axis=-1, keepdims=True)
+        assert np.max(np.abs(jac[:, :, i] - fd) / scale) < 1e-7, i
 
 
 def test_twist_round_trip():

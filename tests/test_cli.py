@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tllab.cli import main
+from tllab.report import LineRecord, SpectrumReport
 
 
 def test_solve_small_chain_exits_clean(capsys):
@@ -44,6 +45,32 @@ def test_solve_closed_chain(capsys):
     payload = json.loads(out)
     assert payload["chain"] == "closed"
     assert payload["total_degeneracy"] == payload["dimension"]
+
+
+@pytest.mark.parametrize(
+    "degeneracies, ambiguous, code",
+    [
+        ((3, 1), False, 0),
+        ((3,), False, 1),  # a line missing
+        ((3, 1, 1), False, 1),  # a line listed twice
+        ((3, 1), True, 1),  # a degeneracy count that could move
+    ],
+)
+def test_solve_exit_code_flags_inconsistent_spectrum(
+    monkeypatch, capsys, degeneracies, ambiguous, code
+):
+    lines = tuple(
+        LineRecord(kind="open", m=0, roots=(), degeneracy=d, ambiguous=ambiguous)
+        for d in degeneracies
+    )
+    report = SpectrumReport(
+        kind="open", n_sites=2, spin="1/2", q=0.5, lines=lines, elapsed=0.0
+    )
+    monkeypatch.setattr("tllab.cli.build_open_spectrum", lambda params, config: report)
+    assert main(["solve", "--sites", "2", "--spin", "1/2", "--json", "-"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["total_degeneracy"] == sum(degeneracies)
+    assert payload["dimension"] == 4
 
 
 def test_solve_rejects_bad_spin(capsys):

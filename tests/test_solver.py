@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tllab.core import DomainError, ModelParams
+from tllab.report import RunConfig, build_closed_spectrum, build_open_spectrum
 from tllab.solver import (
     SearchConfig,
     canonical_roots,
@@ -174,3 +175,15 @@ def test_three_site_closed_sector_roots():
         assert len(lines) == 1, sector
         assert abs(lines[0].roots[0] - want) < 1e-8, sector
         assert abs(lines[0].twist - (-1j)) < 1e-10, sector
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+@pytest.mark.parametrize("q", [0.3, 0.7, 1.5, 0.4 + 0.3j])
+def test_three_site_spectrum_is_complete_across_q(kind, q):
+    # at q = 0.7 the closed chain once listed one M=1 root six times: its
+    # copies' fingerprints differ by up to 3e-10, above a 1e-10 match
+    params = ModelParams.create(3, "1/2", q=q)
+    build = build_open_spectrum if kind == "open" else build_closed_spectrum
+    report = build(params, RunConfig(seed=1234))
+    assert report.total_degeneracy == report.dimension
+    assert not any(line.ambiguous for line in report.lines)

@@ -5,8 +5,8 @@ import numpy as np
 from tllab.core import ModelParams, omega
 from tllab.operators import hamiltonian
 from tllab.suites import shift_operator
+from tllab.symmetry import generator_blocks
 from tllab.transfer import (
-    closed_asymptotic_trace,
     closed_transfer,
     hamiltonian_from_transfer,
     open_transfer,
@@ -73,7 +73,7 @@ def test_hamiltonian_from_transfer_matches_direct():
 
 def test_asymptotic_trace_commutes_with_transfer():
     params = ModelParams.create(2, "1")
-    trace_op = closed_asymptotic_trace(params, "+")
+    trace_op = np.trace(generator_blocks(params, "+"), axis1=0, axis2=1)
     t = closed_transfer(0.87 + 0.22j, params).matrix
     assert _rel(trace_op @ t, t @ trace_op) < 1e-12
 
