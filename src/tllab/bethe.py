@@ -72,6 +72,11 @@ def _phi(x):
     return omega_prime(x) / omega(x)
 
 
+def _one_tuple(roots):
+    """One root tuple as a batch of shape (1, m)."""
+    return np.asarray(roots, dtype=complex).reshape(1, -1)
+
+
 def _check_kind(kind: str) -> None:
     if kind not in ("open", "closed"):
         raise DomainError(f"kind must be 'open' or 'closed', got {kind!r}")
@@ -244,32 +249,57 @@ def _amplitudes(v, params: ModelParams, kind: str, twist=None):
     return twist * sign * pa, sign * pb / twist, np.ones(v.shape, dtype=bool)
 
 
-def _lambda_terms(v, roots, params: ModelParams, kind: str, twist=None,
+def _lambda_terms(v, u, params: ModelParams, kind: str, twist=None,
                   grad: bool = False):
     """The terms a(v) Q(v/q)/Q(v) and d(v) Q(v q)/Q(v) of Lambda(v).
 
-    ``v`` has shape (P,).  Returns ((term_a, term_d), dlogs, ok): ``ok``
-    marks the points off the poles of Lambda, and with ``grad`` ``dlogs``
-    holds the derivatives of log term_a and log term_d in each root, shape
-    (P, m), at fixed twist (else None).
+    Batched over root tuples: ``u`` has shape (b, m), the points ``v`` shape
+    (b, P) (row i belongs to tuple i) and the closed-chain ``twist`` shape
+    (b,).  Returns ((term_a, term_d), dlogs, ok), the terms and ``ok`` of
+    shape (b, P): ``ok`` marks the points off the poles of Lambda, and with
+    ``grad`` ``dlogs`` holds the derivatives of log term_a and log term_d
+    in each root, shape (b, P, m), at fixed twist (else None).
     """
     q = params.q
-    u = np.asarray(roots, dtype=complex).reshape(-1)
-    n = v.shape[0]
+    n = v.shape[-1]
+    if twist is not None:
+        twist = np.asarray(twist, dtype=complex)[:, None]
     with np.errstate(all="ignore"):
         a, d, ok = _amplitudes(v, params, kind, twist)
         # Q(v/q) = prod ga(v), Q(v q) = prod gb(v) and Q(v) = prod ga(v q)
-        ga, gb, derivs = _pairs(np.concatenate([v, v * q]), u, q, kind, grad)
-        q_v = np.prod(ga[n:], axis=-1)
+        ga, gb, derivs = _pairs(np.concatenate([v, v * q], axis=-1), u, q, kind, grad)
+        q_v = np.prod(ga[..., n:, :], axis=-1)
         ok = ok & ~(np.abs(q_v) < POLE_TOL)
         terms = (
-            a * np.prod(ga[:n], axis=-1) / q_v,
-            d * np.prod(gb[:n], axis=-1) / q_v,
+            a * np.prod(ga[..., :n, :], axis=-1) / q_v,
+            d * np.prod(gb[..., :n, :], axis=-1) / q_v,
         )
     if not grad:
         return terms, None, ok
     da, db = derivs[0], derivs[1]
-    return terms, (da[:n] - da[n:], db[:n] - da[n:]), ok
+    return terms, (da[..., :n, :] - da[..., n:, :], db[..., :n, :] - da[..., n:, :]), ok
+
+
+def pole_free_lambda(points, roots, params: ModelParams, kind: str, twist=None):
+    """Lambda at the points for each root tuple, nudged off its poles row by row.
+
+    ``roots`` has shape (b, m) and the closed-chain ``twist`` shape (b,).  A
+    point where a row's Lambda has a pole is multiplied by PROBE_NUDGE until
+    it has none, at most PROBE_TRIES times.  Returns (points, values, found):
+    the points and values, shape (b, P), and the mask (b,) of the rows whose
+    every point found a pole-free place (their values are NaN otherwise).
+    Rows are independent: a row's result does not depend on the others.
+    """
+    u = np.asarray(roots, dtype=complex)
+    p = np.tile(np.asarray(points, dtype=complex).reshape(-1), (u.shape[0], 1))
+    for _ in range(PROBE_TRIES):
+        (term_a, term_d), _, ok = _lambda_terms(p, u, params, kind, twist)
+        found = ok.all(axis=-1)
+        if found.all():
+            break
+        p = np.where(ok, p, p * PROBE_NUDGE)
+    with np.errstate(all="ignore"):
+        return p, np.where(found[:, None], term_a + term_d, np.nan), found
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +317,8 @@ def eval_a_d(u, params: ModelParams, kind: str, twist=None):
 def q_function(u, roots, q, kind: str):
     """Q(u) = prod_k omega(u/u_k) [omega(u q u_k)], the bracket open only."""
     _check_kind(kind)
-    u = np.array([complex(u) * q])
-    ga, _, _ = _pairs(u, np.asarray(roots, dtype=complex).reshape(-1), q, kind)
-    return complex(np.prod(ga[0]))
+    ga, _, _ = _pairs(np.array([[complex(u) * q]]), _one_tuple(roots), q, kind)
+    return complex(np.prod(ga[0, 0]))
 
 
 def eval_lambda(u, roots, params: ModelParams, kind: str, twist=None):
@@ -298,27 +327,12 @@ def eval_lambda(u, roots, params: ModelParams, kind: str, twist=None):
     Lambda(u) = a(u) Q(u/q)/Q(u) + d(u) Q(u q)/Q(u).
     """
     (term_a, term_d), _, ok = _lambda_terms(
-        np.array([complex(u)]), roots, params, kind, twist
+        np.array([[complex(u)]]), _one_tuple(roots), params, kind,
+        None if twist is None else [twist],
     )
-    if not ok[0]:
+    if not ok[0, 0]:
         raise DomainError(f"Lambda has a pole at u = {u}")
-    return complex(term_a[0] + term_d[0])
-
-
-def pole_free_lambda(points, roots, params: ModelParams, kind: str, twist=None):
-    """Lambda at each of the points, nudged deterministically off its poles.
-
-    A point where Lambda has a pole is multiplied by PROBE_NUDGE until it
-    has none, at most PROBE_TRIES times.  Returns (points, values) as
-    arrays; raises DomainError when some point finds no pole-free place.
-    """
-    p = np.array(points, dtype=complex).reshape(-1)
-    for _ in range(PROBE_TRIES):
-        (term_a, term_d), _, ok = _lambda_terms(p, roots, params, kind, twist)
-        if ok.all():
-            return p, term_a + term_d
-        p = np.where(ok, p, p * PROBE_NUDGE)
-    raise DomainError("no pole-free probe point found for Lambda")
+    return complex(term_a[0, 0] + term_d[0, 0])
 
 
 def lambda_partial(v, roots, params: ModelParams, kind: str = "open", sector=None):
@@ -331,16 +345,18 @@ def lambda_partial(v, roots, params: ModelParams, kind: str = "open", sector=Non
     if kind == "closed":
         if sector is None:
             raise DomainError("closed-chain lambda_partial needs the sector label")
-        twist = twist_from_roots(roots, sector, params)
+        twist = [twist_from_roots(roots, sector, params)]
+    u = _one_tuple(roots)
     (term_a, term_d), (dlog_a, dlog_d), ok = _lambda_terms(
-        np.array([complex(v)]), roots, params, kind, twist, grad=True
+        np.array([[complex(v)]]), u, params, kind, twist, grad=True
     )
-    if not ok[0]:
+    if not ok[0, 0]:
         raise DomainError(f"Lambda has a pole at v = {v}")
-    grad = term_a[0] * dlog_a[0] + term_d[0] * dlog_d[0]
+    term_a, term_d = term_a[0, 0], term_d[0, 0]
+    grad = term_a * dlog_a[0, 0] + term_d * dlog_d[0, 0]
     if kind == "closed":
-        u = np.asarray(roots, dtype=complex).reshape(-1)
-        grad = grad + (term_a[0] - term_d[0]) * (_phi(u) - params.q * _phi(params.q * u))
+        u = u[0]
+        grad = grad + (term_a - term_d) * (_phi(u) - params.q * _phi(params.q * u))
     return grad
 
 
@@ -359,8 +375,7 @@ def bethe_residuals(
         if twist is None:
             raise DomainError("closed-chain residuals need the twist kappa")
         kappa = np.array([complex(twist)])
-    u = np.asarray(roots, dtype=complex).reshape(1, -1)
-    a, b, _ = bethe_sides(u, params, kind, kappa)
+    a, b, _ = bethe_sides(_one_tuple(roots), params, kind, kappa)
     res = a[0] - b[0]
     if scaled:
         res = res / (1.0 + np.abs(a[0]) + np.abs(b[0]))
@@ -382,9 +397,13 @@ def energy(roots, params: ModelParams):
 
 
 def twist_from_roots(roots, sector: int, params: ModelParams):
-    """Closed-chain twist kappa determined by the roots and momentum label."""
-    u = np.asarray(roots, dtype=complex).reshape(-1)
-    return complex(_twist(u, sector_phase(sector, params), params.q))
+    """Closed-chain twist kappa determined by the roots and momentum label.
+
+    ``roots`` is one tuple (a complex result) or a (b, m) batch (shape (b,)).
+    """
+    u = np.asarray(roots, dtype=complex)
+    kappa = _twist(u, sector_phase(sector, params), params.q)
+    return kappa if u.ndim == 2 else complex(kappa)
 
 
 def shift_eigenvalue(solution: BetheSolution, params: ModelParams):

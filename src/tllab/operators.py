@@ -23,7 +23,6 @@ __all__ = [
     "tl_projector",
     "r_asymptotic",
     "partial_transpose",
-    "site_reversal",
 ]
 
 
@@ -164,20 +163,3 @@ def partial_transpose(op: np.ndarray, d: int, factor: int) -> np.ndarray:
     else:
         raise DomainError("factor must be 1 or 2")
     return t.reshape(d * d, d * d)
-
-
-def site_reversal(n_sites: int, d: int) -> np.ndarray:
-    """Permutation matrix reversing the order of the chain's tensor factors."""
-    size = d**n_sites
-    perm = np.zeros((size, size), dtype=complex)
-    for idx in range(size):
-        digits = []  # filled fastest-site first, i.e. site N, N-1, ..., 1
-        rem = idx
-        for _ in range(n_sites):
-            digits.append(rem % d)
-            rem //= d
-        rev = 0
-        for dig in digits:  # site N becomes the slowest digit
-            rev = rev * d + dig
-        perm[rev, idx] = 1.0
-    return perm

@@ -2,9 +2,11 @@
 
 Seeds are drawn log-uniformly from an annulus and driven by a damped
 (backtracking) Newton iteration on the batched residual and Jacobian kernel
-of ``bethe.newton_system``, vectorized across the whole seed batch.  Converged roots pass through singularity guards,
-per-root canonicalization over the symmetry orbit of the equations, and
-deduplication keyed on eigenvalue fingerprints.
+of ``bethe.newton_system``, vectorized across the whole seed batch.  The
+converged root tuples of a sector are then screened as one (b, m) batch:
+singularity guards, per-root canonicalization over the symmetry orbit of
+the equations, a residual check, and deduplication keyed on eigenvalue
+fingerprints, which are evaluated for all candidates in one call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .core import DomainError, ModelParams, omega, pi_phase
 from .bethe import (
     BetheSolution,
-    bethe_residuals,
+    bethe_sides,
     newton_system,
     pole_free_lambda,
     sector_phase,
@@ -50,6 +52,20 @@ FINGERPRINT_PROBES = (0.93 + 0.41j, 1.78 - 0.67j, 0.41 + 1.13j)
 #: Relative fingerprint distance below which two solutions are one line
 #: (see dedup_solutions).
 DEDUP_TOL = 1e-6
+#: Roots are ordered and canonicalized on their parts rounded to 1e-9.
+ROOT_KEY_SCALE = 1e9
+#: Scaled residual that a canonical representative must still reach, loose
+#: enough for the ulps that the orbit maps add to a converged root.
+CANONICAL_RESIDUAL_TOL = 1e-8
+#: Relative fingerprint agreement between a raw tuple and its canonical
+#: representative: both must describe the same spectral line.
+CANONICAL_FP_TOL = 1e-7
+#: Scaled residual below which a conjugated tuple is a genuine solution.
+CLOSURE_RESIDUAL_TOL = 1e-9
+#: Root-magnitude sums closer than this tie in dedup's choice of representative.
+MAGNITUDE_TIE = 1e-12
+#: Site weights are conjugation-stable when their sorted conjugates agree to this.
+THETA_CONJ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -234,30 +250,37 @@ def _one_root_candidates(params: ModelParams, kind: str, sector=None):
 # guards, canonicalization, dedup
 
 
-def _passes_guards(roots, params: ModelParams, kind: str) -> bool:
+def _passes_guards(u, params: ModelParams, kind: str):
+    """Mask of the root tuples (rows of u, shape (..., m)) that keep clear of
+    the singular points of the equations: |u| outside MODULUS_BOUNDS,
+    u = +-1 or +-1/q, u_i = +-u_j and, open only, u_i u_j = +-1 (i != j) or
+    u_i u_j q = +-1, each to GUARD_TOL in omega."""
     q = params.q
     lo, hi = MODULUS_BOUNDS
-    for r in roots:
-        ar = abs(r)
-        if not (lo < ar < hi) or not np.isfinite(ar):
-            return False
-        if abs(omega(r)) < GUARD_TOL or abs(omega(q * r)) < GUARD_TOL:
-            return False
-    n = len(roots)
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(omega(roots[i] / roots[j])) < GUARD_TOL:
-                return False
-            if kind == "open":
-                if i != j and abs(omega(roots[i] * roots[j])) < GUARD_TOL:
-                    return False
-                if abs(omega(roots[i] * roots[j] * q)) < GUARD_TOL:
-                    return False
-    return True
+    m = u.shape[-1]
+    off = ~np.eye(m, dtype=bool)
+    with np.errstate(all="ignore"):
+        mod = np.abs(u)
+        near = (np.abs(omega(u)) < GUARD_TOL) | (np.abs(omega(q * u)) < GUARD_TOL)
+        ok = np.all((lo < mod) & (mod < hi) & ~near, axis=-1)
+        ui, uj = u[..., :, None], u[..., None, :]
+        bad = (np.abs(omega(ui / uj)) < GUARD_TOL) & off
+        if kind == "open":
+            bad |= (np.abs(omega(ui * uj)) < GUARD_TOL) & off
+            bad |= np.abs(omega(ui * uj * q)) < GUARD_TOL
+    return ok & ~np.any(bad, axis=(-2, -1))
 
 
-def _root_key(z):
-    return (round(abs(z) * 1e9), round(z.real * 1e9), round(z.imag * 1e9))
+def _key_order(z, axis=-1):
+    """Indices sorting z along ``axis`` by (|z|, Re z, Im z), each scaled by
+    ROOT_KEY_SCALE and rounded; equal keys keep their order."""
+    k_abs, k_re, k_im = (np.rint(x * ROOT_KEY_SCALE) for x in (np.abs(z), z.real, z.imag))
+    return np.lexsort((k_im, k_re, k_abs), axis=axis)
+
+
+def _sort_roots(u):
+    """Each row of u (shape (..., m)) in _key_order."""
+    return np.take_along_axis(u, _key_order(u), axis=-1)
 
 
 def canonical_roots(roots, q, kind: str):
@@ -265,58 +288,98 @@ def canonical_roots(roots, q, kind: str):
 
     Open-chain equations are invariant under u -> -u and u -> -1/(q u) per
     root; closed-chain ones under u -> -u.  The representative maximizes
-    (|u|, Re u, Im u) lexicographically; the tuple is then sorted.
+    (|u|, Re u, Im u) lexicographically (the first of equal keys wins); each
+    row is then sorted.  ``roots`` has shape (..., m).
     """
-    out = []
-    for r in roots:
-        r = complex(r)
-        orbit = [r, -r]
-        if kind == "open":
-            orbit += [-1.0 / (q * r), 1.0 / (q * r)]
-        out.append(max(orbit, key=_root_key))
-    return tuple(sorted(out, key=_root_key))
+    u = np.asarray(roots, dtype=complex)
+    orbit = [u, -u] + ([-1.0 / (q * u), 1.0 / (q * u)] if kind == "open" else [])
+    # the largest key sorts last, and of equal keys the one given last
+    stack = np.stack(orbit[::-1])
+    pick = _key_order(stack, axis=0)[-1:]
+    return _sort_roots(np.take_along_axis(stack, pick, axis=0)[0])
 
 
 def fingerprint(roots, params: ModelParams, kind: str, twist=None) -> np.ndarray:
-    """Eigenvalue samples at fixed probes, used as a spectral-line identity."""
-    return pole_free_lambda(FINGERPRINT_PROBES, roots, params, kind, twist)[1]
+    """Eigenvalue samples at fixed probes, used as a spectral-line identity.
+
+    ``roots`` is one tuple, or a batch of shape (b, m) with twists of shape
+    (b,); the result has shape (3,) or (b, 3).  A tuple whose probes find no
+    pole-free place gets NaN samples.
+    """
+    u = np.asarray(roots, dtype=complex)
+    batch = u if u.ndim == 2 else u[None]
+    if twist is not None:
+        twist = np.asarray(twist, dtype=complex).reshape(batch.shape[0])
+    _, values, _ = pole_free_lambda(FINGERPRINT_PROBES, batch, params, kind, twist)
+    return values if u.ndim == 2 else values[0]
 
 
-def _residual_norm(roots, params, kind, twist) -> float:
-    if not roots:
-        return 0.0
-    res = bethe_residuals(roots, params, kind, twist=twist, scaled=True)
-    return float(np.max(np.abs(res)))
+def _residual_norm(u, params, kind, twist):
+    """Largest scaled Bethe residual of each row of the batch u (0 without roots)."""
+    a, b, _ = bethe_sides(u, params, kind, twist)
+    with np.errstate(all="ignore"):
+        return np.max(np.abs(a - b) / (1.0 + np.abs(a) + np.abs(b)), axis=-1, initial=0.0)
 
 
-def _make_solution(roots, params, kind, sector=None) -> BetheSolution:
-    """Canonicalize a raw root tuple and package it, verifying that the
-    canonical representative still solves the equations."""
-    raw = tuple(complex(r) for r in roots)
+def _twists(u, params, kind, sector):
+    return twist_from_roots(u, sector, params) if kind == "closed" else None
+
+
+def _make_solution(raw, params, kind, sector=None):
+    """Canonicalize a batch of raw root tuples (shape (b, m)), verifying
+    that each canonical representative still solves the equations and
+    carries the same eigenvalue; a row that fails keeps its raw roots,
+    sorted.  Returns (roots, twists, residual norms): shapes (b, m), (b,)
+    (None on the open chain) and (b,)."""
+    raw = np.asarray(raw, dtype=complex)
     cand = canonical_roots(raw, params.q, kind)
-    twist_raw = twist_from_roots(raw, sector, params) if kind == "closed" else None
-    use = cand
-    if cand != raw:
-        twist_c = twist_from_roots(cand, sector, params) if kind == "closed" else None
-        ok = _residual_norm(cand, params, kind, twist_c) < 1e-8
-        if ok:
-            try:
-                fp_raw = fingerprint(raw, params, kind, twist_raw)
-                fp_c = fingerprint(cand, params, kind, twist_c)
-                scale = 1.0 + np.max(np.abs(fp_raw))
-                ok = np.max(np.abs(fp_raw - fp_c)) < 1e-7 * scale
-            except DomainError:
-                ok = False
-        if not ok:
-            use = tuple(sorted(raw, key=_root_key))
-    twist = twist_from_roots(use, sector, params) if kind == "closed" else None
-    return BetheSolution(
-        kind=kind,
-        roots=use,
-        sector=sector,
-        twist=twist,
-        residual_norm=_residual_norm(use, params, kind, twist),
+    ok = np.all(cand == raw, axis=-1)
+    moved = np.flatnonzero(~ok)
+    twist_c = _twists(cand[moved], params, kind, sector)
+    solves = _residual_norm(cand[moved], params, kind, twist_c) < CANONICAL_RESIDUAL_TOL
+    check = moved[solves]
+    fp_raw, fp_c = (
+        fingerprint(u[check], params, kind, _twists(u[check], params, kind, sector))
+        for u in (raw, cand)
     )
+    scale = 1.0 + np.max(np.abs(fp_raw), axis=-1, initial=0.0)
+    ok[check] = np.max(np.abs(fp_raw - fp_c), axis=-1, initial=0.0) < CANONICAL_FP_TOL * scale
+    use = np.where(ok[:, None], cand, _sort_roots(raw))
+    twist = _twists(use, params, kind, sector)
+    return use, twist, _residual_norm(use, params, kind, twist)
+
+
+def _solutions(made, kind, sector=None, keep=slice(None)):
+    """Package the rows ``keep`` of a _make_solution result as BetheSolution
+    objects."""
+    roots, twist, residual = (None if x is None else x[keep] for x in made)
+    twists = [None] * len(roots) if twist is None else twist.tolist()
+    return [
+        BetheSolution(kind=kind, roots=tuple(r), sector=sector, twist=t,
+                      residual_norm=n)
+        for r, t, n in zip(roots.tolist(), twists, residual.tolist())
+    ]
+
+
+def _candidates(raw, n_roots, params, kind, sector=None):
+    """The guarded, canonical solutions among the Newton root tuples ``raw``."""
+    u = np.array(raw, dtype=complex).reshape(-1, n_roots)
+    u = u[_passes_guards(u, params, kind)]
+    made = _make_solution(u, params, kind, sector)
+    return _solutions(made, kind, sector, _passes_guards(made[0], params, kind))
+
+
+def _fingerprints(solutions, params):
+    """Fingerprints of all solutions, one batched call per (kind, M) group."""
+    prints = np.full((len(solutions), len(FINGERPRINT_PROBES)), np.nan, dtype=complex)
+    groups = {}
+    for i, sol in enumerate(solutions):
+        groups.setdefault((sol.kind, sol.n_roots), []).append(i)
+    for (kind, m), idx in groups.items():
+        roots = np.array([solutions[i].roots for i in idx], dtype=complex)
+        twist = None if kind == "open" else [solutions[i].twist for i in idx]
+        prints[idx] = fingerprint(roots.reshape(len(idx), m), params, kind, twist)
+    return prints
 
 
 def dedup_solutions(solutions, params: ModelParams):
@@ -329,37 +392,45 @@ def dedup_solutions(solutions, params: ModelParams):
     but an ill-conditioned root carries a larger error into Lambda: the
     copies of the closed N=3, s=1/2, q=0.7 root 1.19523 differ by up to
     3e-10.  Distinct lines of one sector differ by at least 8e-3 over the
-    stored tables and the N=5, 6 spectra, so 1e-6 sits between the two.  A
-    clearly smaller residual norm wins; at comparable residuals the smaller
-    total root magnitude does, so crossing partners collapse onto the
-    customary representative.
+    stored tables and the N=5, 6 spectra, so 1e-6 sits between the two.
+
+    Solutions are taken in order: each joins the first kept line it matches
+    (matched against that line's first fingerprint), or else starts a new
+    one.  A clearly smaller residual norm wins the line; at comparable
+    residuals the smaller total root magnitude does, so crossing partners
+    collapse onto the customary representative.  A solution without a
+    pole-free fingerprint is dropped.
     """
+    solutions = list(solutions)
+    prints = _fingerprints(solutions, params)
+    top = np.max(np.abs(prints), axis=-1, initial=0.0)
+    usable = np.isfinite(prints).all(axis=-1)
+    groups = {}
+    for i in np.flatnonzero(usable):
+        sol = solutions[i]
+        groups.setdefault((sol.n_roots, sol.sector), []).append(i)
+    lines = []  # (first index, members in order) of each kept line
+    for idx in groups.values():
+        rest = np.array(idx)
+        while rest.size:
+            first = rest[0]
+            scale = 1.0 + np.maximum(top[first], top[rest])
+            dist = np.max(np.abs(prints[rest] - prints[first]), axis=-1)
+            hit = dist < DEDUP_TOL * scale
+            lines.append((first, rest[hit]))
+            rest = rest[~hit]
     kept = []
-    prints = []
-    for sol in solutions:
-        try:
-            fp = fingerprint(sol.roots, params, sol.kind, sol.twist)
-        except DomainError:
-            continue
-        match = None
-        for i, other in enumerate(kept):
-            if other.n_roots != sol.n_roots or other.sector != sol.sector:
-                continue
-            scale = 1.0 + max(np.max(np.abs(prints[i])), np.max(np.abs(fp)))
-            if np.max(np.abs(prints[i] - fp)) < DEDUP_TOL * scale:
-                match = i
-                break
-        if match is None:
-            kept.append(sol)
-            prints.append(fp)
-        else:
-            best = kept[match]
+    for _, members in sorted(lines, key=lambda line: line[0]):
+        best = solutions[members[0]]
+        for i in members[1:]:
+            sol = solutions[i]
             if sol.residual_norm < 0.1 * best.residual_norm:
-                kept[match] = sol
+                best = sol
             elif best.residual_norm < 0.1 * sol.residual_norm:
                 pass
-            elif _magnitude(sol) < _magnitude(best) - 1e-12:
-                kept[match] = sol
+            elif _magnitude(sol) < _magnitude(best) - MAGNITUDE_TIE:
+                best = sol
+        kept.append(best)
     return sorted(kept, key=_solution_key)
 
 
@@ -374,24 +445,23 @@ def _solution_key(sol: BetheSolution):
     return (abs(z), z.real, z.imag)
 
 
-def _conjugate_closure(solutions, params: ModelParams, kind: str):
-    """For real q and conjugation-stable weights, add missing conjugate lines."""
+def _conjugate_closure(solutions, params: ModelParams, kind: str, sector=None):
+    """For real q and conjugation-stable weights, add missing conjugate lines.
+
+    ``solutions`` all belong to one sector (M and, closed, the label l).
+    """
     if abs(complex(params.q).imag) > 1e-14:
         return solutions
-    thetas = sorted(params.thetas, key=_root_key)
-    conj_thetas = sorted((t.conjugate() for t in thetas), key=_root_key)
-    if any(abs(a - b) > 1e-12 for a, b in zip(thetas, conj_thetas)):
+    thetas = _sort_roots(np.asarray(params.thetas, dtype=complex))
+    if np.any(np.abs(thetas - _sort_roots(thetas.conj())) > THETA_CONJ_TOL):
         return solutions
     extra = []
-    for sol in solutions:
-        if not sol.roots:
-            continue
-        conj = tuple(r.conjugate() for r in sol.roots)
-        cand = _make_solution(conj, params, kind, sector=sol.sector)
-        if cand.residual_norm < 1e-9 and _passes_guards(
-            cand.roots, params, kind
-        ):
-            extra.append(cand)
+    rows = [sol.roots for sol in solutions if sol.roots]
+    if rows:
+        made = _make_solution(np.conj(rows), params, kind, sector)
+        roots, _, residual = made
+        keep = (residual < CLOSURE_RESIDUAL_TOL) & _passes_guards(roots, params, kind)
+        extra = _solutions(made, kind, sector, keep)
     return dedup_solutions(list(solutions) + extra, params)
 
 
@@ -426,13 +496,7 @@ def solve_sector_open(
         if extra:
             seeds = np.vstack([np.array(extra, dtype=complex), seeds])
     raw = _newton_driver(newton_system(params, "open"), seeds, config)
-    sols = []
-    for roots in raw:
-        if _passes_guards(roots, params, "open"):
-            sol = _make_solution(roots, params, "open")
-            if _passes_guards(sol.roots, params, "open"):
-                sols.append(sol)
-    sols = dedup_solutions(sols, params)
+    sols = dedup_solutions(_candidates(raw, n_roots, params, "open"), params)
     sols = _conjugate_closure(sols, params, "open")
     if check_spectrum:
         sols = [s for s in sols if _spectrum_member(s, params)]
@@ -441,14 +505,14 @@ def solve_sector_open(
 
 def _spectrum_member(sol: BetheSolution, params: ModelParams) -> bool:
     """Keep only candidate lines whose Lambda really is an eigenvalue."""
-    try:
-        (probe,), (lam,) = pole_free_lambda(
-            (DEGENERACY_PROBE,), sol.roots, params, sol.kind, sol.twist
-        )
-    except DomainError:
+    probe, lam, found = pole_free_lambda(
+        (DEGENERACY_PROBE,), [sol.roots], params, sol.kind,
+        None if sol.twist is None else [sol.twist],
+    )
+    if not found[0]:
         return False
-    te = transfer_matrix(probe, params, sol.kind)
-    nullity, _ = measure_degeneracy(te, lam)
+    te = transfer_matrix(probe[0, 0], params, sol.kind)
+    nullity, _ = measure_degeneracy(te, lam[0, 0])
     return nullity >= 1
 
 
@@ -483,14 +547,9 @@ def solve_sector_closed(
             if extra:
                 seeds = np.vstack([np.array(extra, dtype=complex), seeds])
         raw = _newton_driver(newton_system(params, "closed", sector), seeds, config)
-        cands = []
-        for roots in raw:
-            if _passes_guards(roots, params, "closed"):
-                sol = _make_solution(roots, params, "closed", sector=sector)
-                if _passes_guards(sol.roots, params, "closed"):
-                    cands.append(sol)
+        cands = _candidates(raw, n_roots, params, "closed", sector)
         cands = dedup_solutions(cands, params)
-        cands = _conjugate_closure(cands, params, "closed")
+        cands = _conjugate_closure(cands, params, "closed", sector)
     if check_spectrum:
         cands = [s for s in cands if _spectrum_member(s, params)]
     return dedup_solutions(cands, params)
@@ -506,7 +565,7 @@ def _anchored_two_site(params: ModelParams, sector: int):
     for lam in sorted(eigs, key=lambda z: (round(z.real, 8), round(z.imag, 8))):
         if not any(abs(lam - w) < 1e-8 * (1.0 + abs(w)) for w in uniq):
             uniq.append(lam)
-    cands = []
+    roots, kappas = [], []
     for lam in uniq:
         # phase * q * (kappa + 1/kappa) = lam; at a double root kappa = +-1
         # the eigensolver's roundoff in z would give kappa a sqrt-sized error
@@ -522,14 +581,15 @@ def _anchored_two_site(params: ModelParams, sector: int):
             u2 = (1.0 / q - rho) / (q - rho)
             if u2 == 0:
                 continue
-            root = cmath.sqrt(u2)
-            if not _passes_guards((root,), params, "closed"):
-                continue
-            sol = _make_solution((root,), params, "closed", sector=sector)
-            if abs(sol.twist - kappa) > 1e-6 * (1.0 + abs(kappa)):
-                continue
-            cands.append(sol)
-    return dedup_solutions(cands, params)
+            roots.append(cmath.sqrt(u2))
+            kappas.append(kappa)
+    u = np.array(roots, dtype=complex).reshape(-1, 1)
+    kappas = np.array(kappas, dtype=complex)
+    ok = _passes_guards(u, params, "closed")
+    made = _make_solution(u[ok], params, "closed", sector)
+    # the roots must reproduce the kappa they were solved for
+    keep = ~(np.abs(made[1] - kappas[ok]) > 1e-6 * (1.0 + np.abs(kappas[ok])))
+    return dedup_solutions(_solutions(made, "closed", sector, keep), params)
 
 
 def solve_all_open(
@@ -563,4 +623,4 @@ def refine(roots, params: ModelParams, kind: str, sector=None,
     out = _newton_driver(newton_system(params, kind, sector), seeds, config)
     if not out:
         raise DomainError("refinement did not converge")
-    return _make_solution(out[0], params, kind, sector=sector)
+    return _solutions(_make_solution([out[0]], params, kind, sector), kind, sector)[0]

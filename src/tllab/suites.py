@@ -94,20 +94,8 @@ def _draw(rng: np.random.Generator, n: int = 1, lo: float = 0.6, hi: float = 1.6
 def shift_operator(n_sites: int, d: int) -> np.ndarray:
     """One-site shift: the last site's state moves to the front."""
     dim = d**n_sites
-    perm = np.zeros((dim, dim))
-    for idx in range(dim):
-        digits = []
-        rem = idx
-        for _ in range(n_sites):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        rotated = [digits[-1]] + digits[:-1]
-        new = 0
-        for dig in rotated:
-            new = new * d + dig
-        perm[new, idx] = 1.0
-    return perm
+    basis = np.eye(dim).reshape((d,) * n_sites + (dim,))
+    return np.moveaxis(basis, n_sites - 1, 0).reshape(dim, dim)
 
 
 def suite_tl_algebra(rng: np.random.Generator, checks: list):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import ModelParams
+from .core import DomainError, ModelParams
 from .operators import (
     crossing_pair,
     embed_two,
@@ -163,6 +163,10 @@ def line_degeneracy(
     The probe point is nudged deterministically off any pole of Lambda.
     Returns (nullity, ambiguous).
     """
-    (p,), (lam,) = pole_free_lambda((probe,), roots, params, kind, twist)
-    te = transfer_matrix(p, params, kind)
-    return measure_degeneracy(te, lam, rank_tol)
+    p, lam, found = pole_free_lambda(
+        (probe,), [roots], params, kind, None if twist is None else [twist]
+    )
+    if not found[0]:
+        raise DomainError("no pole-free probe point found for Lambda")
+    te = transfer_matrix(p[0, 0], params, kind)
+    return measure_degeneracy(te, lam[0, 0], rank_tol)

@@ -11,7 +11,6 @@ from tllab.operators import (
     permutation_matrix,
     r_asymptotic,
     r_matrix,
-    site_reversal,
     tl_generator,
     tl_projector,
 )
@@ -201,13 +200,3 @@ def test_partial_transpose_is_involution():
     op = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     for factor in (1, 2):
         assert _rel(partial_transpose(partial_transpose(op, d, factor), d, factor), op) < 1e-15
-
-
-def test_site_reversal_is_involution():
-    rev = site_reversal(3, 2)
-    assert _rel(rev @ rev, np.eye(8)) < 1e-15
-    # basis state |a b c> maps to |c b a>
-    vec = np.zeros(8)
-    vec[0b011] = 1.0  # site values (0, 1, 1)
-    out = rev @ vec
-    assert abs(out[0b110] - 1.0) < 1e-15

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from tllab.bethe import PROBE_NUDGE, PROBE_TRIES, eval_lambda
 from tllab.core import DomainError, ModelParams
 from tllab.report import RunConfig, build_closed_spectrum, build_open_spectrum
 from tllab.solver import (
+    FINGERPRINT_PROBES,
     SearchConfig,
+    _passes_guards,
     canonical_roots,
     chebyshev_dim,
     dedup_solutions,
     expected_census,
+    fingerprint,
     multiplicity,
     predicted_degeneracy,
     refine,
@@ -68,13 +72,67 @@ def test_expected_census_counts():
 def test_canonical_roots_identify_orbit_members():
     q = 0.5
     roots = (1.3 + 0.4j, 0.9 - 0.2j)
-    base = canonical_roots(roots, q, "open")
-    for mapped in (
+    batch = np.array([
+        roots,
         tuple(-r for r in roots),
         (-1.0 / (q * roots[0]), roots[1]),
+        (roots[1], 1.0 / (q * roots[0])),
         (roots[1], roots[0]),
-    ):
-        assert canonical_roots(mapped, q, "open") == base
+    ])
+    canon = canonical_roots(batch, q, "open")
+    assert canon.shape == batch.shape
+    for row, want in zip(batch, canon):
+        assert np.allclose(canonical_roots(row, q, "open"), want, rtol=0, atol=1e-15)
+        assert np.allclose(want, canon[0], rtol=1e-15, atol=0)
+    # the closed chain only identifies u with -u
+    closed = canonical_roots(batch[:2], q, "closed")
+    assert np.array_equal(closed[0], closed[1])
+    assert not np.allclose(canonical_roots(batch[2], q, "closed"), closed[0])
+
+
+def test_guards_reject_each_singular_point():
+    params = ModelParams.create(4, "1/2")  # q = 0.5
+    q = params.q
+    g, h = 1.3 + 0.4j, 0.9 - 0.2j
+    both = [
+        (1e-7, h), (1e7, h),  # |u| outside MODULUS_BOUNDS
+        (1.0, h), (-1.0, h),  # omega(u) = 0
+        (1.0 / q, h), (-1.0 / q, h),  # omega(q u) = 0
+        (g, g), (g, -g),  # u_i = +-u_j
+    ]
+    open_only = [
+        (g, 1.0 / g), (g, -1.0 / g),  # u_i u_j = +-1
+        (g, 1.0 / (q * g)),  # u_i u_j q = 1
+        (np.sqrt(1.0 / q), h),  # u_i u_i q = 1
+    ]
+    batch = np.array([(g, h)] + both + open_only)
+    want_open = np.array([True] + [False] * (len(both) + len(open_only)))
+    want_closed = np.array([True] + [False] * len(both) + [True] * len(open_only))
+    for kind, want in (("open", want_open), ("closed", want_closed)):
+        mask = _passes_guards(batch, params, kind)
+        assert np.array_equal(mask, want), kind
+        assert [bool(_passes_guards(row, params, kind)) for row in batch] == list(want)
+
+
+def test_batched_fingerprint_matches_rows():
+    params = ModelParams.create(3, "1/2")
+    rng = np.random.default_rng(5)
+    m = PROBE_TRIES
+    batch = np.exp(rng.uniform(-0.7, 0.7, (4, m)) + 1j * rng.uniform(0, 2 * np.pi, (4, m)))
+    batch[1, 0] = FINGERPRINT_PROBES[1]  # a pole of Lambda: that probe is nudged
+    # a pole at the first probe and at each of its nudged places
+    batch[2] = FINGERPRINT_PROBES[0] * PROBE_NUDGE ** np.arange(m)
+    twist = rng.normal(size=4) + 1j * rng.normal(size=4)
+    prints = fingerprint(batch, params, "closed", twist)
+    assert prints.shape == (4, len(FINGERPRINT_PROBES))
+    assert np.isnan(prints[2]).all()
+    assert np.isfinite(np.delete(prints, 2, axis=0)).all()
+    assert abs(prints[1, 1] - eval_lambda(
+        FINGERPRINT_PROBES[1] * PROBE_NUDGE, batch[1], params, "closed", twist[1]
+    )) < 1e-12 * abs(prints[1, 1])
+    for row, t, want in zip(batch, twist, prints):
+        got = fingerprint(row, params, "closed", t)
+        assert np.allclose(got, want, rtol=1e-14, atol=0, equal_nan=True)
 
 
 def test_open_census_matches_multiplicities():
