@@ -4,25 +4,23 @@ The double-row monodromy T(u) T^(u), viewed as a (2s+1) x (2s+1) matrix in
 the auxiliary space, provides a single creation operator B(u) (its top-right
 entry) and annihilation operator C(u) (bottom-left).  Bethe vectors are
 B-strings on the reference state with every site in its first basis state.
+Neither the monodromy nor B, C or t(u) is formed as a matrix: each acts on
+a vector through the site sweep ``transfer.open_monodromy_apply``.
 All formulas below require homogeneous site weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import POLE_TOL, DomainError, ModelParams, omega
-from .operators import crossing_pair
-from .transfer import aux_blocks, open_transfer
+from .transfer import open_monodromy_apply, open_transfer_apply
 from .bethe import bethe_residuals, eval_lambda, lambda_partial
 from .symmetry import generator_blocks
 
 __all__ = [
-    "DoubleRow",
-    "double_row",
     "BetheVector",
     "reference_state",
     "bethe_vector",
@@ -39,47 +37,6 @@ __all__ = [
 ]
 
 
-class DoubleRow:
-    """Auxiliary-space blocks of T(u) T^(u), computed lazily."""
-
-    def __init__(self, u, params: ModelParams):
-        self.u = complex(u)
-        self.params = params
-        self._plain = aux_blocks(self.u, params, hatted=False)
-        self._hat = aux_blocks(self.u, params, hatted=True)
-        self._blocks = {}
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Quantum-space operator in auxiliary slot (i, j), zero-based."""
-        if (i, j) not in self._blocks:
-            d = self.params.site_dim
-            out = self._plain[i, 0] @ self._hat[0, j]
-            for c in range(1, d):
-                out += self._plain[i, c] @ self._hat[c, j]
-            self._blocks[(i, j)] = out
-        return self._blocks[(i, j)]
-
-    def creation(self) -> np.ndarray:
-        return self.block(0, self.params.site_dim - 1)
-
-    def annihilation(self) -> np.ndarray:
-        return self.block(self.params.site_dim - 1, 0)
-
-    def transfer(self) -> np.ndarray:
-        _, m = crossing_pair(self.params)
-        diag = np.diag(m)
-        d = self.params.site_dim
-        out = diag[0] * self.block(0, 0)
-        for j in range(1, d):
-            out += diag[j] * self.block(j, j)
-        return out
-
-
-@lru_cache(maxsize=6)
-def double_row(params: ModelParams, u: complex) -> DoubleRow:
-    return DoubleRow(u, params)
-
-
 @dataclass(frozen=True)
 class BetheVector:
     values: tuple
@@ -94,24 +51,31 @@ def reference_state(params: ModelParams) -> np.ndarray:
     return vec
 
 
+def _b_string(values, params: ModelParams, dual: bool, absolute=False) -> np.ndarray:
+    """B(v_1)...B(v_M)|0>, or <0|C(v_1)...C(v_M) when ``dual``, by sweeps."""
+    d, n = params.site_dim, params.n_sites
+    vec = reference_state(params).real if absolute else reference_state(params)
+    for v in values if dual else reversed(values):
+        x = np.zeros((d,) * (n + 1), dtype=vec.dtype)
+        x[d - 1] = vec.reshape((d,) * n)
+        vec = open_monodromy_apply(v, params, x, dual, absolute)[0].reshape(-1)
+    return vec
+
+
 def bethe_vector(values, params: ModelParams, dual: bool = False) -> BetheVector:
-    """B(u_1)...B(u_M)|0> or the dual <0|C(u_1)...C(u_M)."""
+    """B(u_1)...B(u_M)|0> or the dual <0|C(u_1)...C(u_M).
+
+    ``vanished`` flags a string that is zero up to roundoff: its largest
+    entry is at most 1e-12 times the largest entry of the same string swept
+    with |R| on the reference state, which bounds every entry of the string
+    without cancellation.
+    """
     if not params.homogeneous:
         raise DomainError("Bethe vectors are defined for homogeneous weights")
     values = tuple(complex(v) for v in values)
-    vec = reference_state(params)
-    scale = 1.0
-    if dual:
-        for v in values:
-            op = double_row(params, v).annihilation()
-            scale *= max(1.0, float(np.max(np.abs(op))))
-            vec = vec @ op
-    else:
-        for v in reversed(values):
-            op = double_row(params, v).creation()
-            scale *= max(1.0, float(np.max(np.abs(op))))
-            vec = op @ vec
-    vanished = bool(np.max(np.abs(vec)) <= 1e-12 * scale) if values else False
+    vec = _b_string(values, params, dual)
+    bound = _b_string(values, params, dual, absolute=True)
+    vanished = bool(np.max(np.abs(vec)) <= 1e-12 * np.max(bound)) if values else False
     return BetheVector(values=values, vector=vec, dual=dual, vanished=vanished)
 
 
@@ -126,21 +90,23 @@ def offshell_coefficient(u, values, k: int, params: ModelParams) -> complex:
     (``bethe.bethe_sides``); at unit weights A_k carries omega(u_k q)^(2N)
     and B_k omega(u_k)^(2N).
     """
+    return _offshell_coefficient(
+        u, values, k, params, bethe_residuals(values, params, "open")[k]
+    )
+
+
+def _offshell_coefficient(u, values, k: int, params: ModelParams, side_diff):
+    """``offshell_coefficient`` given A_k - B_k."""
     u = complex(u)
     q = params.q
     uk = complex(values[k])
-    for name, val in (
-        ("omega(u/u_k)", omega(u / uk)),
-        ("omega(u u_k q)", omega(u * uk * q)),
-        ("omega(u_k^2 q)", omega(uk * uk * q)),
-    ):
+    poles = (omega(u / uk), omega(u * uk * q), omega(uk * uk * q))
+    for name, val in zip(("omega(u/u_k)", "omega(u u_k q)", "omega(u_k^2 q)"), poles):
         if abs(val) < POLE_TOL:
             raise DomainError(f"offshell coefficient pole: {name} vanishes")
     pref = -(
-        omega(q)
-        * omega(u * u * q * q)
-        * omega(uk * uk)
-        / (omega(u / uk) * omega(u * uk * q) * omega(uk * uk * q))
+        omega(q) * omega(u * u * q * q) * omega(uk * uk)
+        / (poles[0] * poles[1] * poles[2])
     )
     denom = 1.0 + 0.0j
     for j, uj in enumerate(values):
@@ -150,7 +116,7 @@ def offshell_coefficient(u, values, k: int, params: ModelParams) -> complex:
         if abs(pair) < POLE_TOL:
             raise DomainError("offshell coefficient pole: coincident values")
         denom *= pair
-    return pref * bethe_residuals(values, params, "open")[k] / denom
+    return pref * side_diff / denom
 
 
 @dataclass(frozen=True)
@@ -172,16 +138,13 @@ def offshell_residual(
     u = complex(u)
     values = tuple(complex(v) for v in values)
     state = bethe_vector(values, params, dual=dual)
-    t = open_transfer(u, params).matrix
-    lhs = state.vector @ t if dual else t @ state.vector
+    lhs = open_transfer_apply(u, params, state.vector, dual)
     lam = eval_lambda(u, values, params, "open")
     rhs = lam * state.vector
-    coeffs = []
-    for k in range(len(values)):
-        ck = offshell_coefficient(u, values, k, params)
-        coeffs.append(ck)
-        replaced = values[:k] + (u,) + values[k + 1 :]
-        rhs = rhs + ck * bethe_vector(replaced, params, dual=dual).vector
+    diffs = enumerate(bethe_residuals(values, params, "open"))
+    coeffs = [_offshell_coefficient(u, values, k, params, ab) for k, ab in diffs]
+    for k, ck in enumerate(coeffs):
+        rhs = rhs + ck * _b_string(values[:k] + (u,) + values[k + 1 :], params, dual)
     num = float(np.max(np.abs(lhs - rhs)))
     den = 1.0 + float(np.max(np.abs(lhs)))
     return OffshellReport(

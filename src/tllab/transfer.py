@@ -1,10 +1,11 @@
 """Monodromy and transfer matrices for open and closed chains.
 
-Everything here is dense linear algebra on the 2^N..d^N dimensional chain
-space, but the transfer matrices are assembled by sweeping the auxiliary
-space along the chain (matrix-product style), so the d^N x d^N result is
+Transfer matrices are dense d^N x d^N matrices, assembled by sweeping the
+auxiliary space along the chain (matrix-product style), so the result is
 built without ever forming operators on the (d * d^N)-dimensional
-aux (x) chain space.
+aux (x) chain space.  The double-row monodromy T(u) T^(u) is never formed:
+``open_monodromy_apply`` sweeps the site R tensors through a vector instead,
+which gives B(u), C(u) and t(u) acting on states at O(N D d^3) for D = d^N.
 
 Index conventions for the auxiliary sweeps: monodromy blocks are stored as
 ``blocks[a, b, i, j]`` = chain-space matrix element (i, j) of the aux-space
@@ -25,6 +26,8 @@ __all__ = [
     "TransferEval",
     "aux_blocks",
     "monodromy_dense",
+    "open_monodromy_apply",
+    "open_transfer_apply",
     "open_transfer",
     "closed_transfer",
     "transfer_matrix",
@@ -43,18 +46,24 @@ class TransferEval:
     matrix: np.ndarray
 
 
-def _site_tensors(u, params: ModelParams, hatted: bool):
-    """Per-site R tensors for the monodromy sweeps.
+@lru_cache(maxsize=16)
+def _r_tensor(arg: complex, params: ModelParams) -> np.ndarray:
+    """R(arg) as a read-only (d, d, d, d) tensor, one ``r_matrix`` call per
+    argument while cached: the two chains of a homogeneous chain share it,
+    and so do the B-strings of one off-shell check, built on shared points."""
+    tensor = r_matrix(arg, params).reshape((params.site_dim,) * 4)
+    tensor.setflags(write=False)
+    return tensor
+
+
+def _site_tensors(u, params: ModelParams, *hatted: bool):
+    """Per-site R tensors for the monodromy sweeps, one list per flag in ``hatted``.
 
     Plain sites carry R(u/theta_j) acting on (aux, site_j); hatted sites
     carry R(u theta_j) acting on (site_j, aux).
     """
-    d = params.site_dim
-    tensors = []
-    for theta in params.thetas:
-        arg = u * theta if hatted else u / theta
-        tensors.append(r_matrix(arg, params).reshape(d, d, d, d))
-    return tensors
+    return [[_r_tensor(u * th if h else u / th, params) for th in params.thetas]
+            for h in hatted]
 
 
 def _sweep_blocks(tensors, d: int, hatted: bool) -> np.ndarray:
@@ -83,9 +92,8 @@ def _sweep_blocks(tensors, d: int, hatted: bool) -> np.ndarray:
 
 def aux_blocks(u, params: ModelParams, hatted: bool = False) -> np.ndarray:
     """Monodromy blocks T(u) (or the reflected T^(u)) as a (d,d,D,D) array."""
-    return _sweep_blocks(
-        _site_tensors(complex(u), params, hatted), params.site_dim, hatted
-    )
+    (tensors,) = _site_tensors(complex(u), params, hatted)
+    return _sweep_blocks(tensors, params.site_dim, hatted)
 
 
 def monodromy_dense(u, params: ModelParams, hatted: bool = False) -> np.ndarray:
@@ -99,8 +107,7 @@ def monodromy_dense(u, params: ModelParams, hatted: bool = False) -> np.ndarray:
 def _open_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
     """Fused double-row sweep for t(u) = tr_aux M T(u) T^(u)."""
     d = params.site_dim
-    plain = _site_tensors(u, params, hatted=False)
-    hat = _site_tensors(u, params, hatted=True)
+    plain, hat = _site_tensors(u, params, False, True)
     _, m = crossing_pair(params)
     m_diag = np.diag(m)
 
@@ -116,6 +123,48 @@ def _open_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
         dim *= d
         c = np.ascontiguousarray(c).reshape(d, d, dim, dim)
     return np.einsum("x,xxPQ->PQ", m_diag, c)
+
+
+def open_monodromy_apply(u, params: ModelParams, state, dual=False, absolute=False):
+    """Apply the double-row monodromy T(u) T^(u) to ``state`` without forming it.
+
+    ``state`` has shape (..., d, d, ..., d): optional batch axes, the aux
+    index, then one index per site.  The ket form returns [T T^] state, the
+    hatted chain swept site N -> 1 and then the plain chain site 1 -> N; the
+    dual form returns the row vector state [T T^].  B(u) maps aux d-1 to 0
+    (ket), C(u) aux d-1 to 0 (dual).  With ``absolute`` the sweep runs on
+    |R| and |state|, which bounds |result| entrywise free of cancellation.
+    """
+    plain, hat = _site_tensors(complex(u), params, False, True)
+    hat = [t.transpose(1, 0, 3, 2) for t in hat]  # to [a_out, s_out, a_in, s_in]
+    back, front = (plain, hat) if dual else (hat, plain)
+    if dual:
+        back, front = ([t.transpose(2, 3, 0, 1) for t in ts] for ts in (back, front))
+    d, n = params.site_dim, params.n_sites
+    x = np.abs(state) if absolute else np.asarray(state)
+    lead = x.shape[: x.ndim - n - 1]
+    x = x.reshape(-1, d, d**n).transpose(0, 2, 1)
+    b = len(x)
+    # Sites N -> 1 with the chain axes rotating: the site to contract sits
+    # just before the aux axis, and its output moves to the front.
+    for t in reversed(back):
+        k = (np.abs(t) if absolute else t).transpose(3, 2, 1, 0).reshape(d * d, d * d)
+        x = (x.reshape(b, -1, d * d) @ k).reshape(b, -1, d, d).transpose(0, 2, 1, 3)
+    x = x.reshape(b, -1, d).transpose(0, 2, 1)
+    # Sites 1 -> N: the site to contract follows the aux axis, output to the end.
+    for t in front:
+        k = (np.abs(t) if absolute else t).reshape(d * d, d * d)
+        x = (k @ x.reshape(b, d * d, -1)).reshape(b, d, d, -1).transpose(0, 1, 3, 2)
+    return x.reshape(lead + (d,) * (n + 1))
+
+
+def open_transfer_apply(u, params: ModelParams, vec, dual=False) -> np.ndarray:
+    """t(u) vec, or the row vector vec t(u) when ``dual``, without forming t(u):
+    one sweep batched over the diagonal aux entries, weighted by diag(M)."""
+    d = params.site_dim
+    x = np.einsum("ij,...->ij...", np.eye(d), np.reshape(vec, (d,) * params.n_sites))
+    y = open_monodromy_apply(u, params, x, dual)
+    return np.einsum("j,jj...->...", np.diag(crossing_pair(params)[1]), y).reshape(-1)
 
 
 def _closed_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:
@@ -137,22 +186,17 @@ def _transfer_cached(params: ModelParams, u: complex, kind: str) -> np.ndarray:
 
 def open_transfer(u, params: ModelParams) -> TransferEval:
     """The open-chain (double-row) transfer matrix t(u)."""
-    u = complex(u)
-    return TransferEval(params, u, "open", _transfer_cached(params, u, "open"))
+    return transfer_matrix(u, params, "open")
 
 
 def closed_transfer(u, params: ModelParams) -> TransferEval:
     """The closed-chain transfer matrix t(u) = tr_aux T(u)."""
-    u = complex(u)
-    return TransferEval(params, u, "closed", _transfer_cached(params, u, "closed"))
+    return transfer_matrix(u, params, "closed")
 
 
 def transfer_matrix(u, params: ModelParams, kind: str) -> TransferEval:
-    if kind == "open":
-        return open_transfer(u, params)
-    if kind == "closed":
-        return closed_transfer(u, params)
-    raise DomainError(f"kind must be 'open' or 'closed', got {kind!r}")
+    u = complex(u)
+    return TransferEval(params, u, kind, _transfer_cached(params, u, kind))
 
 
 def hamiltonian_from_transfer(params: ModelParams, step: float = 1e-6) -> np.ndarray:
@@ -200,14 +244,7 @@ def random_thetas(
         mods = np.exp(rng.uniform(lo, hi, size=n_sites))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_sites)
         thetas = mods * np.exp(1j * phases)
-        ok = True
-        for i in range(n_sites):
-            for j in range(n_sites):
-                if i == j:
-                    continue
-                ratio = thetas[i] / thetas[j]
-                if any(abs(ratio - p) < 1e-6 for p in powers):
-                    ok = False
-        if ok:
+        ratios = (thetas[:, None] / thetas[None, :])[~np.eye(n_sites, dtype=bool)]
+        if np.all(np.abs(ratios[:, None] - np.array(powers)) >= 1e-6):
             return tuple(complex(t) for t in thetas)
     raise RuntimeError("could not draw generic inhomogeneity weights")

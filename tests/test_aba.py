@@ -1,13 +1,13 @@
 """Algebraic construction of eigenstates and determinant product formulas."""
 
 import numpy as np
+import pytest
 
 from tllab.aba import (
     bethe_vector,
     check_highest_weight,
     contract_norm_squared,
     contract_scalar_product,
-    double_row,
     norm_squared,
     offshell_residual,
     reference_state,
@@ -15,8 +15,14 @@ from tllab.aba import (
 )
 from tllab.bethe import eval_lambda
 from tllab.core import ModelParams
-from tllab.solver import refine
-from tllab.transfer import open_transfer
+from tllab.solver import refine, solve_sector_open
+from tllab.transfer import (
+    monodromy_dense,
+    open_monodromy_apply,
+    open_transfer,
+    open_transfer_apply,
+    random_thetas,
+)
 
 ROOT_N2 = (3.0 + 1.0j) / np.sqrt(5.0)
 
@@ -32,14 +38,58 @@ def test_reference_state_is_transfer_eigenvector():
         assert resid < 1e-12, spin
 
 
-def test_double_row_transfer_matches_dense_transfer():
-    params = ModelParams.create(2, "1")
+def _draw_values(rng, n):
+    mods = np.exp(rng.uniform(np.log(0.7), np.log(1.5), n))
+    return tuple(mods * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+
+
+@pytest.mark.parametrize(
+    "n_sites, spin", [(2, "1/2"), (3, "1"), (3, "3/2"), (4, "1/2")]
+)
+def test_matrix_free_double_row_matches_dense_blocks(n_sites, spin):
+    rng = np.random.default_rng(54)
+    plain = ModelParams.create(n_sites, spin)
+    weighted = ModelParams.create(
+        n_sites, spin, thetas=random_thetas(n_sites, rng, plain.q)
+    )
+    d = plain.site_dim
+    dim = d**n_sites
     probe = 1.11 - 0.23j
-    row = double_row(params, probe)
-    t_from_blocks = row.transfer()
-    t_dense = open_transfer(probe, params).matrix
-    scale = 1.0 + np.max(np.abs(t_dense))
-    assert np.max(np.abs(t_from_blocks - t_dense)) / scale < 1e-12
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    full = rng.normal(size=d * dim) + 1j * rng.normal(size=d * dim)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for params in (plain, weighted):
+        dense = monodromy_dense(probe, params) @ monodromy_dense(
+            probe, params, hatted=True
+        )
+        blocks = dense.reshape(d, dim, d, dim)
+        sweep = lambda x, dual=False: open_monodromy_apply(
+            probe, params, x.reshape((d,) * (n_sites + 1)), dual
+        )
+        assert_close(sweep(full).reshape(-1), dense @ full)
+        assert_close(sweep(full, True).reshape(-1), full @ dense)
+        state = np.zeros(d * dim, dtype=complex)
+        state[(d - 1) * dim :] = vec
+        assert_close(sweep(state)[0].reshape(-1), blocks[0, :, d - 1] @ vec)
+        assert_close(sweep(state, True)[0].reshape(-1), vec @ blocks[d - 1, :, 0])
+        t = open_transfer(probe, params).matrix
+        assert_close(open_transfer_apply(probe, params, vec), t @ vec)
+        assert_close(open_transfer_apply(probe, params, vec, dual=True), vec @ t)
+
+
+@pytest.mark.parametrize("spin", ["1/2", "1", "3/2"])
+def test_vanished_flags_strings_longer_than_the_chain(spin):
+    # each B(u) raises the chain's S^z by 2s, from -sN at |0> to at most +sN,
+    # so N + 1 of them annihilate |0>; shorter generic strings do not vanish
+    rng = np.random.default_rng(55)
+    params = ModelParams.create(2, spin)
+    for m in (1, 2, 3):
+        for dual in (False, True):
+            state = bethe_vector(_draw_values(rng, m), params, dual=dual)
+            assert state.vanished == (m == 3), (m, dual)
 
 
 def test_on_shell_vector_is_eigenvector():
@@ -153,3 +203,28 @@ def test_empty_product_reduces_to_prefactor():
     formula = norm_squared((), params)
     direct = contract_norm_squared((), params)
     assert abs(formula - direct) / (1.0 + abs(direct)) < 1e-12
+
+
+@pytest.mark.parametrize("spin", ["1/2", "1", "3/2"])
+@pytest.mark.parametrize("q", [0.3, 1.5, 0.4 + 0.3j])
+def test_algebraic_states_beyond_q_half(q, spin):
+    params = ModelParams.create(3, spin, q=q)
+    rng = np.random.default_rng(56)
+    for m in (1, 2, 3):
+        for dual in (False, True):
+            draws = _draw_values(rng, m + 1)
+            rep = offshell_residual(draws[0], draws[1:], params, dual=dual)
+            assert not rep.vanished and rep.residual < 1e-8, (m, dual)
+    probe = 0.93 + 0.41j
+    t = open_transfer(probe, params).matrix
+    sols = solve_sector_open(params, 1)
+    assert len(sols) == 2
+    for sol in sols:
+        lam = eval_lambda(probe, sol.roots, params, "open")
+        for dual in (False, True):
+            vec = bethe_vector(sol.roots, params, dual=dual).vector
+            act = vec @ t if dual else t @ vec
+            resid = np.max(np.abs(act - lam * vec)) / (
+                (1.0 + abs(lam)) * np.max(np.abs(vec))
+            )
+            assert resid < 1e-9, (sol.roots, dual)
