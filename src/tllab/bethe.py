@@ -31,7 +31,6 @@ __all__ = [
     "sector_phase",
     "bethe_sides",
     "newton_system",
-    "eval_a_d",
     "q_function",
     "eval_lambda",
     "pole_free_lambda",
@@ -54,6 +53,9 @@ class BetheSolution:
 
     ``sector`` is the momentum label l of the closed chain (None when open);
     ``twist`` is the closed-chain twist kappa fixed by the roots and l.
+    ``degeneracy`` and ``ambiguous`` are the line's measured nullity and its
+    flag from ``symmetry.line_degeneracy``, set on every solution a sector
+    solver returns (None and False before the measurement).
     """
 
     kind: str
@@ -61,6 +63,8 @@ class BetheSolution:
     sector: int | None = None
     twist: complex | None = None
     residual_norm: float = 0.0
+    degeneracy: int | None = None
+    ambiguous: bool = False
 
     @property
     def n_roots(self) -> int:
@@ -304,14 +308,6 @@ def pole_free_lambda(points, roots, params: ModelParams, kind: str, twist=None):
 
 # ---------------------------------------------------------------------------
 # scalar API
-
-
-def eval_a_d(u, params: ModelParams, kind: str, twist=None):
-    """The vacuum amplitudes (a(u), d(u)) entering the eigenvalue ansatz."""
-    a, d, ok = _amplitudes(np.array([complex(u)]), params, kind, twist)
-    if not ok[0]:
-        raise DomainError(f"a/d pole: omega(u^2 q) vanishes at u = {u}")
-    return complex(a[0]), complex(d[0])
 
 
 def q_function(u, roots, q, kind: str):

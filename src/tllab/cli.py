@@ -2,9 +2,9 @@
 
 Exit codes: 0 when everything passed, 1 when a comparison or check failed
 (for ``solve``: measured degeneracies that do not sum to the dimension, or
-an ambiguous degeneracy count), 2 on usage or domain errors.  The
-environment variable ``TL_LAB_SEED`` overrides the default seed for every
-subcommand.
+an ambiguous degeneracy count; every line is measured, once, by the solver),
+2 on usage or domain errors.  The environment variable ``TL_LAB_SEED``
+overrides the default seed for every subcommand.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ def _parser() -> argparse.ArgumentParser:
         "--spin", default="1/2", metavar="S", help="site spin, e.g. 1/2, 1, 3/2"
     )
     solve.add_argument("--q", type=float, default=0.5, help="deformation parameter")
-    solve.add_argument(
-        "--no-measure",
-        action="store_true",
-        help="skip the degeneracy measurements",
-    )
     _add_output_options(solve)
 
     reproduce = sub.add_parser(
@@ -136,7 +131,7 @@ def _stdout_is_data(args) -> bool:
 
 def _cmd_solve(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    config = RunConfig(seed=seed, measure=not args.no_measure)
+    config = RunConfig(seed=seed)
     params = ModelParams.create(args.sites, args.spin, q=args.q)
     if args.chain == "open":
         report = build_open_spectrum(params, config)
@@ -148,7 +143,7 @@ def _cmd_solve(args) -> int:
         _write_json(spectrum_payload(report), args.json)
     if args.csv:
         _write_csv(spectrum_csv_rows(report), args.csv)
-    complete = report.total_degeneracy in (None, report.dimension)
+    complete = report.total_degeneracy == report.dimension
     return 0 if complete and not any(ln.ambiguous for ln in report.lines) else 1
 
 

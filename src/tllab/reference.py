@@ -26,7 +26,6 @@ __all__ = [
     "SPIN_COLUMNS",
     "TABLES",
     "open_table",
-    "sector_table",
     "closed_table",
 ]
 
@@ -351,10 +350,6 @@ TABLES = {
 
 def open_table(n_sites: int):
     return _OPEN_TABLES[n_sites]
-
-
-def sector_table(n_sites: int):
-    return _SECTOR_TABLES[n_sites]
 
 
 def closed_table(n_sites: int):

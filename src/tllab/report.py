@@ -1,9 +1,10 @@
 """Spectrum reports, reference-table reproduction, and serialization.
 
-Builders run the solver and degeneracy measurements and package the results
-as plain records; renderers turn those into aligned text, JSON payloads
-(schema tag ``tl-lab/1``), or CSV rows.  Complex numbers serialize as
-``{"re": ..., "im": ...}`` and spins as strings like ``"3/2"``.
+Builders run the solver, whose lines arrive with their measured
+degeneracies, and package the results as plain records; renderers turn those
+into aligned text, JSON payloads (schema tag ``tl-lab/1``), or CSV rows.
+Complex numbers serialize as ``{"re": ..., "im": ...}`` and spins as strings
+like ``"3/2"``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .solver import (
     solve_all_closed,
     solve_all_open,
 )
-from .symmetry import line_degeneracy
 from .reference import SPIN_COLUMNS, TABLES
 
 __all__ = [
@@ -59,11 +59,11 @@ SCHEMA = "tl-lab/1"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Reproducibility knobs shared by the report builders."""
+    """Reproducibility knobs shared by the report builders: the search's RNG
+    seed and its number of seeds per sector."""
 
     seed: int = 1234
     n_seeds: int = 2000
-    measure: bool = True
 
     def search(self) -> SearchConfig:
         return SearchConfig(rng_seed=self.seed, n_seeds=self.n_seeds)
@@ -101,11 +101,8 @@ class SpectrumReport:
         return params.site_dim**self.n_sites
 
     @property
-    def total_degeneracy(self):
-        degs = [ln.degeneracy for ln in self.lines]
-        if any(d is None for d in degs):
-            return None
-        return sum(degs)
+    def total_degeneracy(self) -> int:
+        return sum(ln.degeneracy for ln in self.lines)
 
 
 @dataclass(frozen=True)
@@ -197,77 +194,56 @@ def _maybe_pair(z):
 # Builders
 # ---------------------------------------------------------------------------
 
+def _spectrum_report(params: ModelParams, kind: str, lines, start) -> SpectrumReport:
+    return SpectrumReport(
+        kind=kind,
+        n_sites=params.n_sites,
+        spin=params.spin_str,
+        q=params.q,
+        lines=tuple(lines),
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def build_open_spectrum(params: ModelParams, config: RunConfig = None) -> SpectrumReport:
     config = config or RunConfig()
     start = time.perf_counter()
-    lines = []
-    for m, sols in sorted(solve_all_open(params, config.search()).items()):
-        for sol in sols:
-            deg = pred = None
-            ambiguous = False
-            if config.measure:
-                deg, ambiguous = line_degeneracy(params, "open", sol.roots)
-                pred = predicted_degeneracy(params, m)
-            lines.append(
-                LineRecord(
-                    kind="open",
-                    m=m,
-                    roots=sol.roots,
-                    energy=complex(bethe_energy(sol.roots, params)),
-                    residual=sol.residual_norm,
-                    degeneracy=deg,
-                    predicted=pred,
-                    ambiguous=ambiguous,
-                )
-            )
-    return SpectrumReport(
-        kind="open",
-        n_sites=params.n_sites,
-        spin=params.spin_str,
-        q=params.q,
-        lines=tuple(lines),
-        elapsed=time.perf_counter() - start,
-    )
+    lines = [
+        LineRecord(
+            kind="open",
+            m=m,
+            roots=sol.roots,
+            energy=complex(bethe_energy(sol.roots, params)),
+            residual=sol.residual_norm,
+            degeneracy=sol.degeneracy,
+            predicted=predicted_degeneracy(params, m),
+            ambiguous=sol.ambiguous,
+        )
+        for m, sols in sorted(solve_all_open(params, config.search()).items())
+        for sol in sols
+    ]
+    return _spectrum_report(params, "open", lines, start)
 
 
-def build_closed_spectrum(
-    params: ModelParams, config: RunConfig = None, check_spectrum: bool = True
-) -> SpectrumReport:
+def build_closed_spectrum(params: ModelParams, config: RunConfig = None) -> SpectrumReport:
     config = config or RunConfig()
     start = time.perf_counter()
-    lines = []
-    all_sols = solve_all_closed(
-        params, config.search(), check_spectrum=check_spectrum
-    )
-    for (m, sector), sols in sorted(all_sols.items()):
-        for sol in sols:
-            deg = None
-            ambiguous = False
-            if config.measure:
-                deg, ambiguous = line_degeneracy(
-                    params, "closed", sol.roots, twist=sol.twist
-                )
-            lines.append(
-                LineRecord(
-                    kind="closed",
-                    m=m,
-                    roots=sol.roots,
-                    sector=sector,
-                    twist=sol.twist,
-                    shift=complex(shift_eigenvalue(sol, params)),
-                    residual=sol.residual_norm,
-                    degeneracy=deg,
-                    ambiguous=ambiguous,
-                )
-            )
-    return SpectrumReport(
-        kind="closed",
-        n_sites=params.n_sites,
-        spin=params.spin_str,
-        q=params.q,
-        lines=tuple(lines),
-        elapsed=time.perf_counter() - start,
-    )
+    lines = [
+        LineRecord(
+            kind="closed",
+            m=m,
+            roots=sol.roots,
+            sector=sector,
+            twist=sol.twist,
+            shift=complex(shift_eigenvalue(sol, params)),
+            residual=sol.residual_norm,
+            degeneracy=sol.degeneracy,
+            ambiguous=sol.ambiguous,
+        )
+        for (m, sector), sols in sorted(solve_all_closed(params, config.search()).items())
+        for sol in sols
+    ]
+    return _spectrum_report(params, "closed", lines, start)
 
 
 def _pair_roots(computed, printed):
@@ -301,33 +277,70 @@ def _match_line(records, line):
     return min(cands, key=distance)
 
 
+def _printed_roots(line) -> str:
+    return "; ".join(p.text for p in line.roots)
+
+
+def _roots_comparison(desc: str, rec: LineRecord, line) -> LineComparison:
+    """Do the record's roots pair up one to one with the printed ones?"""
+    pairs = _pair_roots(rec.roots, line.roots)
+    ok = all(z is not None and ref.matches(z) for ref, z in pairs)
+    return LineComparison(desc + ": roots", format_roots(rec.roots), _printed_roots(line), ok)
+
+
+def _spectra(handle, build, config: RunConfig) -> dict:
+    """The table chain's spectrum at every tabulated spin."""
+    return {
+        spin: build(ModelParams.create(handle.n_sites, spin), config)
+        for spin in SPIN_COLUMNS
+    }
+
+
+def _census_comparisons(reports: dict, used: dict) -> list:
+    """Per spin: no computed line is left unmatched (``used`` holds the ids
+    of the matched records), and the degeneracies fill the dimension."""
+    out = []
+    for spin, report in reports.items():
+        extra = [rec for rec in report.lines if id(rec) not in used[spin]]
+        total = report.total_degeneracy
+        out += [
+            LineComparison(
+                f"no unlisted lines at s={spin}", f"{len(extra)} extra", "0 extra", not extra
+            ),
+            LineComparison(
+                f"degeneracies at s={spin} sum to the full dimension",
+                str(total),
+                str(report.dimension),
+                total == report.dimension,
+            ),
+        ]
+    return out
+
+
+def _table_report(handle, rows, comparisons, start: float) -> TableReport:
+    return TableReport(
+        number=handle.number,
+        kind=handle.kind,
+        n_sites=handle.n_sites,
+        rows=tuple(tuple(r) for r in rows),
+        comparisons=tuple(comparisons),
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def _open_table_report(handle, config: RunConfig) -> TableReport:
     start = time.perf_counter()
-    reports = {}
-    for spin in SPIN_COLUMNS:
-        params = ModelParams.create(handle.n_sites, spin)
-        reports[spin] = build_open_spectrum(params, config)
+    reports = _spectra(handle, build_open_spectrum, config)
     comparisons = []
     rows = [["M", "roots"] + [f"deg s={s}" for s in SPIN_COLUMNS] + ["predicted"]]
     used = {spin: set() for spin in SPIN_COLUMNS}
     for line in handle.lines:
         base = _match_line(reports["1/2"].lines, line)
-        desc = f"M={line.m} roots [{'; '.join(p.text for p in line.roots)}]"
+        desc = f"M={line.m} roots [{_printed_roots(line)}]"
         if base is None:
-            comparisons.append(
-                LineComparison(desc, "missing", "present", False)
-            )
+            comparisons.append(LineComparison(desc, "missing", "present", False))
             continue
-        pairs = _pair_roots(base.roots, line.roots)
-        roots_ok = all(z is not None and ref.matches(z) for ref, z in pairs)
-        comparisons.append(
-            LineComparison(
-                desc + ": roots",
-                format_roots(base.roots),
-                "; ".join(p.text for p in line.roots),
-                roots_ok,
-            )
-        )
+        comparisons.append(_roots_comparison(desc, base, line))
         row = [str(line.m), format_roots(base.roots)]
         for spin in SPIN_COLUMNS:
             rec = _match_line(reports[spin].lines, line)
@@ -337,10 +350,7 @@ def _open_table_report(handle, config: RunConfig) -> TableReport:
             expected = line.degeneracy[spin]
             comparisons.append(
                 LineComparison(
-                    desc + f": degeneracy at s={spin}",
-                    str(deg),
-                    str(expected),
-                    deg == expected,
+                    desc + f": degeneracy at s={spin}", str(deg), str(expected), deg == expected
                 )
             )
             row.append(str(deg))
@@ -355,37 +365,8 @@ def _open_table_report(handle, config: RunConfig) -> TableReport:
             )
         )
         rows.append(row)
-    for spin in SPIN_COLUMNS:
-        extra = [
-            rec
-            for rec in reports[spin].lines
-            if id(rec) not in used[spin]
-        ]
-        comparisons.append(
-            LineComparison(
-                f"no unlisted lines at s={spin}",
-                f"{len(extra)} extra",
-                "0 extra",
-                not extra,
-            )
-        )
-        total = reports[spin].total_degeneracy
-        comparisons.append(
-            LineComparison(
-                f"degeneracies at s={spin} sum to the full dimension",
-                str(total),
-                str(reports[spin].dimension),
-                total == reports[spin].dimension,
-            )
-        )
-    return TableReport(
-        number=handle.number,
-        kind=handle.kind,
-        n_sites=handle.n_sites,
-        rows=tuple(tuple(r) for r in rows),
-        comparisons=tuple(comparisons),
-        elapsed=time.perf_counter() - start,
-    )
+    comparisons += _census_comparisons(reports, used)
+    return _table_report(handle, rows, comparisons, start)
 
 
 def _sector_table_report(handle, config: RunConfig) -> TableReport:
@@ -434,46 +415,27 @@ def _sector_table_report(handle, config: RunConfig) -> TableReport:
                 total == dim,
             )
         )
-    return TableReport(
-        number=handle.number,
-        kind=handle.kind,
-        n_sites=handle.n_sites,
-        rows=tuple(tuple(r) for r in rows),
-        comparisons=tuple(comparisons),
-        elapsed=time.perf_counter() - start,
-    )
+    return _table_report(handle, rows, comparisons, start)
 
 
 def _closed_table_report(handle, config: RunConfig) -> TableReport:
     start = time.perf_counter()
-    reports = {}
-    for spin in SPIN_COLUMNS:
-        params = ModelParams.create(handle.n_sites, spin)
-        reports[spin] = build_closed_spectrum(params, config)
+    reports = _spectra(handle, build_closed_spectrum, config)
     rows = [["s", "M", "l", "roots", "twist", "deg"]]
     comparisons = []
     used = {spin: set() for spin in SPIN_COLUMNS}
     for line in handle.lines:
         desc = (
             f"s={line.spin} M={line.m} l={line.sector} "
-            f"roots [{'; '.join(p.text for p in line.roots) or '-'}]"
+            f"roots [{_printed_roots(line) or '-'}]"
         )
         rec = _match_line(reports[line.spin].lines, line)
         if rec is None:
             comparisons.append(LineComparison(desc, "missing", "present", False))
             continue
         used[line.spin].add(id(rec))
-        pairs = _pair_roots(rec.roots, line.roots)
-        roots_ok = all(z is not None and ref.matches(z) for ref, z in pairs)
         if line.roots:
-            comparisons.append(
-                LineComparison(
-                    desc + ": roots",
-                    format_roots(rec.roots),
-                    "; ".join(p.text for p in line.roots),
-                    roots_ok,
-                )
-            )
+            comparisons.append(_roots_comparison(desc, rec, line))
         comparisons.append(
             LineComparison(
                 desc + ": twist",
@@ -500,33 +462,8 @@ def _closed_table_report(handle, config: RunConfig) -> TableReport:
                 str(rec.degeneracy),
             ]
         )
-    for spin in SPIN_COLUMNS:
-        extra = [r for r in reports[spin].lines if id(r) not in used[spin]]
-        comparisons.append(
-            LineComparison(
-                f"no unlisted lines at s={spin}",
-                f"{len(extra)} extra",
-                "0 extra",
-                not extra,
-            )
-        )
-        total = reports[spin].total_degeneracy
-        comparisons.append(
-            LineComparison(
-                f"degeneracies at s={spin} sum to the full dimension",
-                str(total),
-                str(reports[spin].dimension),
-                total == reports[spin].dimension,
-            )
-        )
-    return TableReport(
-        number=handle.number,
-        kind=handle.kind,
-        n_sites=handle.n_sites,
-        rows=tuple(tuple(r) for r in rows),
-        comparisons=tuple(comparisons),
-        elapsed=time.perf_counter() - start,
-    )
+    comparisons += _census_comparisons(reports, used)
+    return _table_report(handle, rows, comparisons, start)
 
 
 def build_table_report(number: int, config: RunConfig = None) -> TableReport:
@@ -658,12 +595,7 @@ def render_spectrum(report: SpectrumReport) -> str:
                 f"{ln.residual:.1e}",
             ]
         )
-    total = report.total_degeneracy
-    tail = (
-        f"total degeneracy {total} / dimension {report.dimension}"
-        if total is not None
-        else f"dimension {report.dimension}"
-    )
+    tail = f"total degeneracy {report.total_degeneracy} / dimension {report.dimension}"
     return f"{head}\n{_render_grid(rows)}\n{tail}\n"
 
 
@@ -730,7 +662,7 @@ def spectrum_csv_rows(report: SpectrumReport):
             format_roots(ln.roots),
             "" if ln.twist is None else format_complex(ln.twist),
             "" if ln.energy is None else format_complex(ln.energy),
-            "" if ln.degeneracy is None else ln.degeneracy,
+            ln.degeneracy,
             "" if ln.predicted is None else ln.predicted,
             f"{ln.residual:.3e}",
         ]

@@ -6,13 +6,16 @@ of ``bethe.newton_system``, vectorized across the whole seed batch.  The
 converged root tuples of a sector are then screened as one (b, m) batch:
 singularity guards, per-root canonicalization over the symmetry orbit of
 the equations, a residual check, and deduplication keyed on eigenvalue
-fingerprints, which are evaluated for all candidates in one call.
+fingerprints, which are evaluated for all candidates in one call.  Every
+surviving line is measured once by ``symmetry.line_degeneracy``: it is kept
+iff its eigenvalue really occurs in the transfer-matrix spectrum (nullity at
+least 1), and it carries that degeneracy and its ``ambiguous`` flag.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -26,8 +29,7 @@ from .bethe import (
     sector_phase,
     twist_from_roots,
 )
-from .symmetry import DEGENERACY_PROBE, generator_blocks, measure_degeneracy
-from .transfer import transfer_matrix
+from .symmetry import generator_blocks, line_degeneracy
 
 __all__ = [
     "SearchConfig",
@@ -47,6 +49,13 @@ __all__ = [
 ]
 
 GUARD_TOL = 1e-8
+#: Seed moduli are drawn log-uniformly from this annulus.
+SEED_ANNULUS = (0.3, 3.0)
+#: Newton iterations per seed, and the scaled residual that counts as converged.
+NEWTON_MAX_ITER = 80
+NEWTON_TOL = 1e-12
+#: Step halvings tried before a seed that does not improve is dropped.
+MAX_BACKTRACK = 30
 MODULUS_BOUNDS = (1e-6, 1e6)
 FINGERPRINT_PROBES = (0.93 + 0.41j, 1.78 - 0.67j, 0.41 + 1.13j)
 #: Relative fingerprint distance below which two solutions are one line
@@ -70,26 +79,18 @@ THETA_CONJ_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the multistart search."""
+    """Knobs of the multistart search: seeds per sector and their RNG seed."""
 
     n_seeds: int = 2000
-    annulus: tuple = (0.3, 3.0)
-    max_iter: int = 80
-    tol: float = 1e-12
-    max_backtrack: int = 30
     rng_seed: int = 1234
 
 
 @dataclass(frozen=True)
 class SectorCensus:
-    """Bookkeeping line for one magnon sector."""
+    """Expected number of lines in one magnon sector."""
 
-    kind: str
     sector: str
-    found: int
-    expected: int | None
-    dimension: int | None
-    complete: bool | None
+    expected: int
 
 
 def chebyshev_dim(k: int, x):
@@ -122,14 +123,7 @@ def predicted_degeneracy(params: ModelParams, n_roots: int) -> int:
 def expected_census(params: ModelParams):
     """Expected per-sector line counts of the open chain."""
     return [
-        SectorCensus(
-            kind="open",
-            sector=f"M={m}",
-            found=0,
-            expected=multiplicity(params.n_sites, params.n_sites - 2 * m),
-            dimension=predicted_degeneracy(params, m),
-            complete=None,
-        )
+        SectorCensus(f"M={m}", multiplicity(params.n_sites, params.n_sites - 2 * m))
         for m in range(params.n_sites // 2 + 1)
     ]
 
@@ -156,13 +150,13 @@ def _batch_solve(j, r):
         return out
 
 
-def _newton_driver(fun, seeds, config: SearchConfig):
+def _newton_driver(fun, seeds):
     """Run damped Newton from every seed; return converged root tuples."""
     u = np.array(seeds, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
     results = []
-    for _ in range(config.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if u.shape[0] == 0:
             break
         r, rs, j = fun(u, jac=True)
@@ -172,7 +166,7 @@ def _newton_driver(fun, seeds, config: SearchConfig):
             & np.all(np.isfinite(r), axis=-1)
             & np.all(np.isfinite(j), axis=(-2, -1))
         )
-        done = finite & (norm < config.tol)
+        done = finite & (norm < NEWTON_TOL)
         for row in u[done]:
             results.append(tuple(row))
         keep = finite & ~done
@@ -187,7 +181,7 @@ def _newton_driver(fun, seeds, config: SearchConfig):
         t = np.ones(u.shape[0])
         pending = np.ones(u.shape[0], dtype=bool)
         new_u = u.copy()
-        for _ in range(config.max_backtrack + 1):
+        for _ in range(MAX_BACKTRACK + 1):
             if not pending.any():
                 break
             cand = u[pending] - t[pending, None] * step[pending]
@@ -199,7 +193,7 @@ def _newton_driver(fun, seeds, config: SearchConfig):
             pending[sub[improved]] = False
             t[pending] *= 0.5
         u = new_u[~pending]  # seeds that never improved are dropped
-    # whatever is still alive at max_iter has not converged: discard
+    # whatever is still alive after NEWTON_MAX_ITER has not converged: discard
     return results
 
 
@@ -208,7 +202,7 @@ def _draw_seeds(params: ModelParams, m: int, config: SearchConfig, salt: int):
         (config.rng_seed, params.n_sites, params.twice_spin, m, salt)
     )
     rng = np.random.default_rng(seq)
-    lo, hi = np.log(config.annulus[0]), np.log(config.annulus[1])
+    lo, hi = np.log(SEED_ANNULUS[0]), np.log(SEED_ANNULUS[1])
     mods = np.exp(rng.uniform(lo, hi, size=(config.n_seeds, m)))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(config.n_seeds, m))
     return mods * np.exp(1j * phases)
@@ -469,23 +463,32 @@ def _conjugate_closure(solutions, params: ModelParams, kind: str, sector=None):
 # sector solvers
 
 
-def solve_sector_open(
-    params: ModelParams,
-    n_roots: int,
-    config: SearchConfig = None,
-    check_spectrum: bool = True,
-):
+def _measured(solutions, params: ModelParams):
+    """The candidate lines whose Lambda really is an eigenvalue, each with its
+    measured degeneracy; a candidate without a pole-free probe is dropped."""
+    kept = []
+    for sol in solutions:
+        try:
+            nullity, ambiguous = line_degeneracy(params, sol.kind, sol.roots, sol.twist)
+        except DomainError:
+            continue
+        if nullity >= 1:
+            kept.append(replace(sol, degeneracy=nullity, ambiguous=ambiguous))
+    return kept
+
+
+def solve_sector_open(params: ModelParams, n_roots: int, config: SearchConfig = None):
     """All Bethe solutions of the open chain with M = n_roots.
 
     Clearing the denominators of the Bethe equations introduces parasitic
     zeros where both cleared sides vanish through different factors (for
-    instance u_k near 1/q together with u_i u_j near 1/q^2), so by default
-    every candidate is kept only if its eigenvalue really occurs in the
-    transfer-matrix spectrum.
+    instance u_k near 1/q together with u_i u_j near 1/q^2), so every
+    candidate, the M = 0 vacuum included, is kept only if its eigenvalue
+    really occurs in the transfer-matrix spectrum.
     """
     config = config or SearchConfig()
     if n_roots == 0:
-        return [BetheSolution(kind="open", roots=())]
+        return _measured([BetheSolution(kind="open", roots=())], params)
     if 2 * n_roots > params.n_sites:
         raise DomainError(
             f"M = {n_roots} exceeds N/2 = {params.n_sites / 2} for the open chain"
@@ -495,33 +498,14 @@ def solve_sector_open(
         extra = _one_root_candidates(params, "open")
         if extra:
             seeds = np.vstack([np.array(extra, dtype=complex), seeds])
-    raw = _newton_driver(newton_system(params, "open"), seeds, config)
+    raw = _newton_driver(newton_system(params, "open"), seeds)
     sols = dedup_solutions(_candidates(raw, n_roots, params, "open"), params)
     sols = _conjugate_closure(sols, params, "open")
-    if check_spectrum:
-        sols = [s for s in sols if _spectrum_member(s, params)]
-    return dedup_solutions(sols, params)
-
-
-def _spectrum_member(sol: BetheSolution, params: ModelParams) -> bool:
-    """Keep only candidate lines whose Lambda really is an eigenvalue."""
-    probe, lam, found = pole_free_lambda(
-        (DEGENERACY_PROBE,), [sol.roots], params, sol.kind,
-        None if sol.twist is None else [sol.twist],
-    )
-    if not found[0]:
-        return False
-    te = transfer_matrix(probe[0, 0], params, sol.kind)
-    nullity, _ = measure_degeneracy(te, lam[0, 0])
-    return nullity >= 1
+    return dedup_solutions(_measured(sols, params), params)
 
 
 def solve_sector_closed(
-    params: ModelParams,
-    n_roots: int,
-    sector: int,
-    config: SearchConfig = None,
-    check_spectrum: bool = True,
+    params: ModelParams, n_roots: int, sector: int, config: SearchConfig = None
 ):
     """All Bethe solutions of the closed chain with M = n_roots and label l.
 
@@ -546,13 +530,11 @@ def solve_sector_closed(
             extra = _one_root_candidates(params, "closed", sector)
             if extra:
                 seeds = np.vstack([np.array(extra, dtype=complex), seeds])
-        raw = _newton_driver(newton_system(params, "closed", sector), seeds, config)
+        raw = _newton_driver(newton_system(params, "closed", sector), seeds)
         cands = _candidates(raw, n_roots, params, "closed", sector)
         cands = dedup_solutions(cands, params)
         cands = _conjugate_closure(cands, params, "closed", sector)
-    if check_spectrum:
-        cands = [s for s in cands if _spectrum_member(s, params)]
-    return dedup_solutions(cands, params)
+    return dedup_solutions(_measured(cands, params), params)
 
 
 def _anchored_two_site(params: ModelParams, sector: int):
@@ -592,35 +574,24 @@ def _anchored_two_site(params: ModelParams, sector: int):
     return dedup_solutions(_solutions(made, "closed", sector, keep), params)
 
 
-def solve_all_open(
-    params: ModelParams, config: SearchConfig = None, check_spectrum: bool = True
-):
+def solve_all_open(params: ModelParams, config: SearchConfig = None):
     """Solutions for every open sector, as a dict M -> list of solutions."""
+    return {m: solve_sector_open(params, m, config) for m in range(params.n_sites // 2 + 1)}
+
+
+def solve_all_closed(params: ModelParams, config: SearchConfig = None):
+    """Solutions for every closed sector, as a dict (M, l) -> list."""
     return {
-        m: solve_sector_open(params, m, config, check_spectrum=check_spectrum)
+        (m, l): solve_sector_closed(params, m, l, config)
         for m in range(params.n_sites // 2 + 1)
+        for l in range(params.n_sites)
     }
 
 
-def solve_all_closed(
-    params: ModelParams, config: SearchConfig = None, check_spectrum: bool = True
-):
-    """Solutions for every closed sector, as a dict (M, l) -> list."""
-    out = {}
-    for m in range(params.n_sites // 2 + 1):
-        for l in range(params.n_sites):
-            out[(m, l)] = solve_sector_closed(
-                params, m, l, config, check_spectrum=check_spectrum
-            )
-    return out
-
-
-def refine(roots, params: ModelParams, kind: str, sector=None,
-           config: SearchConfig = None):
+def refine(roots, params: ModelParams, kind: str, sector=None):
     """Polish a nearly-converged root tuple with the same damped Newton."""
-    config = config or SearchConfig()
     seeds = np.array([list(roots)], dtype=complex)
-    out = _newton_driver(newton_system(params, kind, sector), seeds, config)
+    out = _newton_driver(newton_system(params, kind, sector), seeds)
     if not out:
         raise DomainError("refinement did not converge")
     return _solutions(_make_solution([out[0]], params, kind, sector), kind, sector)[0]

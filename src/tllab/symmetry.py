@@ -32,7 +32,7 @@ from .bethe import pole_free_lambda
 
 __all__ = [
     "DEGENERACY_PROBE",
-    "SECOND_PROBE",
+    "RANK_TOL",
     "SymmetryReport",
     "generator_blocks",
     "generator_dense",
@@ -41,8 +41,11 @@ __all__ = [
     "line_degeneracy",
 ]
 
+#: Spectral point at which a line's degeneracy is measured (nudged off
+#: any pole of Lambda by ``bethe.pole_free_lambda``).
 DEGENERACY_PROBE = 0.93 + 0.41j
-SECOND_PROBE = 0.57 - 0.68j
+#: QR pivots below RANK_TOL times the largest pivot count as zero.
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -129,12 +132,12 @@ def check_symmetry(params: ModelParams, probes=(0.93 + 0.41j, 1.31 - 0.27j)):
     )
 
 
-def measure_degeneracy(t_eval, lam, rank_tol: float = 1e-8):
+def measure_degeneracy(t_eval, lam):
     """Nullity of t(u0) - lambda Id via a column-pivoted QR factorization.
 
     Returns (nullity, ambiguous); ambiguous is set when some scaled pivot
-    falls within a decade of the rank threshold, meaning the count could
-    move under a slightly different tolerance.
+    falls within a decade of the rank threshold RANK_TOL, meaning the count
+    could move under a slightly different tolerance.
     """
     mat = t_eval.matrix if isinstance(t_eval, TransferEval) else np.asarray(t_eval)
     n = mat.shape[0]
@@ -144,29 +147,25 @@ def measure_degeneracy(t_eval, lam, rank_tol: float = 1e-8):
     ref = diag[0] if diag.size else 0.0
     if ref == 0.0:
         return n, False
-    thresh = rank_tol * ref
+    thresh = RANK_TOL * ref
     rank = int(np.sum(diag > thresh))
     ambiguous = bool(np.any((diag > 0.1 * thresh) & (diag < 10.0 * thresh)))
     return n - rank, ambiguous
 
 
-def line_degeneracy(
-    params: ModelParams,
-    kind: str,
-    roots,
-    twist=None,
-    probe=DEGENERACY_PROBE,
-    rank_tol: float = 1e-8,
-):
+def line_degeneracy(params: ModelParams, kind: str, roots, twist=None):
     """Measured degeneracy of the eigenvalue carried by a set of Bethe roots.
 
-    The probe point is nudged deterministically off any pole of Lambda.
+    This is the one place a line's degeneracy is measured: the sector
+    solvers keep a candidate line iff its nullity here is at least 1.  The
+    point DEGENERACY_PROBE is nudged deterministically off any pole of
+    Lambda; DomainError is raised when no pole-free place is found.
     Returns (nullity, ambiguous).
     """
     p, lam, found = pole_free_lambda(
-        (probe,), [roots], params, kind, None if twist is None else [twist]
+        (DEGENERACY_PROBE,), [roots], params, kind, None if twist is None else [twist]
     )
     if not found[0]:
         raise DomainError("no pole-free probe point found for Lambda")
     te = transfer_matrix(p[0, 0], params, kind)
-    return measure_degeneracy(te, lam[0, 0], rank_tol)
+    return measure_degeneracy(te, lam[0, 0])

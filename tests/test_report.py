@@ -4,11 +4,13 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from tllab.core import ModelParams
 from tllab.reference import exact, printed
 from tllab.report import (
     RunConfig,
+    build_closed_spectrum,
     build_open_spectrum,
     build_table_report,
     format_complex,
@@ -23,6 +25,8 @@ from tllab.report import (
     table_payload,
     write_csv,
 )
+from tllab.solver import solve_all_closed, solve_all_open
+from tllab.symmetry import line_degeneracy, measure_degeneracy
 
 FAST = RunConfig(seed=1234, n_seeds=400)
 
@@ -127,3 +131,35 @@ def test_table_csv_rows_report_status():
     header = rows[0]
     assert "ok" in header
     assert all(len(r) == len(header) for r in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "kind, n_sites, solve, build",
+    [
+        ("open", 4, solve_all_open, build_open_spectrum),
+        ("closed", 3, solve_all_closed, build_closed_spectrum),
+    ],
+)
+def test_each_line_is_measured_once(monkeypatch, kind, n_sites, solve, build):
+    # the solver's membership test measures every kept line's degeneracy;
+    # the report must reuse it rather than factor t(u0) - Lambda again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return measure_degeneracy(*args, **kwargs)
+
+    monkeypatch.setattr("tllab.symmetry.measure_degeneracy", counted)
+    # also counted if the solver ever factors t(u0) - Lambda itself
+    monkeypatch.setattr("tllab.solver.measure_degeneracy", counted, raising=False)
+    params = ModelParams.create(n_sites, "1/2")
+    solve(params, FAST.search())
+    solve_calls = len(calls)
+    calls.clear()
+    report = build(params, FAST)
+    assert len(calls) == solve_calls, f"{len(calls)} QRs for {solve_calls} in the solve"
+    assert report.total_degeneracy == report.dimension
+    monkeypatch.undo()
+    for ln in report.lines:
+        direct = line_degeneracy(params, kind, ln.roots, ln.twist)
+        assert (ln.degeneracy, ln.ambiguous) == direct
