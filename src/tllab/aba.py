@@ -51,15 +51,21 @@ def reference_state(params: ModelParams) -> np.ndarray:
     return vec
 
 
-def _b_string(values, params: ModelParams, dual: bool, absolute=False) -> np.ndarray:
-    """B(v_1)...B(v_M)|0>, or <0|C(v_1)...C(v_M) when ``dual``, by sweeps."""
+def _b_string(values, params: ModelParams, dual: bool, absolute=False, vec=None):
+    """B(v_1)...B(v_M) vec, or vec C(v_1)...C(v_M) when ``dual``, by sweeps;
+    ``vec`` defaults to the reference state.  Returns every partial string,
+    ``vec`` first: the suffixes B(v_k)...B(v_M) vec with k falling, or the
+    prefixes vec C(v_1)...C(v_k) with k rising."""
     d, n = params.site_dim, params.n_sites
-    vec = reference_state(params).real if absolute else reference_state(params)
+    if vec is None:
+        vec = reference_state(params).real if absolute else reference_state(params)
+    out = [vec]
     for v in values if dual else reversed(values):
         x = np.zeros((d,) * (n + 1), dtype=vec.dtype)
         x[d - 1] = vec.reshape((d,) * n)
         vec = open_monodromy_apply(v, params, x, dual, absolute)[0].reshape(-1)
-    return vec
+        out.append(vec)
+    return out
 
 
 def bethe_vector(values, params: ModelParams, dual: bool = False) -> BetheVector:
@@ -70,13 +76,19 @@ def bethe_vector(values, params: ModelParams, dual: bool = False) -> BetheVector
     with |R| on the reference state, which bounds every entry of the string
     without cancellation.
     """
+    return _bethe_vector(values, params, dual)[0]
+
+
+def _bethe_vector(values, params: ModelParams, dual: bool):
+    """``bethe_vector`` and the partial strings of ``_b_string``."""
     if not params.homogeneous:
         raise DomainError("Bethe vectors are defined for homogeneous weights")
     values = tuple(complex(v) for v in values)
-    vec = _b_string(values, params, dual)
-    bound = _b_string(values, params, dual, absolute=True)
+    partial = _b_string(values, params, dual)
+    vec = partial[-1]
+    bound = _b_string(values, params, dual, absolute=True)[-1]
     vanished = bool(np.max(np.abs(vec)) <= 1e-12 * np.max(bound)) if values else False
-    return BetheVector(values=values, vector=vec, dual=dual, vanished=vanished)
+    return BetheVector(values=values, vector=vec, dual=dual, vanished=vanished), partial
 
 
 def offshell_coefficient(u, values, k: int, params: ModelParams) -> complex:
@@ -133,18 +145,26 @@ def offshell_residual(
     """Relative residual of the off-shell transfer-matrix action.
 
     Measures t(u)|v> - Lambda(u; v)|v> - sum_k lambda_k |v with v_k -> u>
-    against |t(u)|v>| (row-vector version when ``dual``).
+    against |t(u)|v>| (row-vector version when ``dual``).  Each replaced
+    string continues a partial string of |v>: B(u) B(v_(k+1))...B(v_M)|0>
+    is built on the main string's suffix, <0|C(v_1)...C(v_(k-1)) C(u) on
+    its prefix.
     """
     u = complex(u)
     values = tuple(complex(v) for v in values)
-    state = bethe_vector(values, params, dual=dual)
+    state, partial = _bethe_vector(values, params, dual)
     lhs = open_transfer_apply(u, params, state.vector, dual)
     lam = eval_lambda(u, values, params, "open")
     rhs = lam * state.vector
     diffs = enumerate(bethe_residuals(values, params, "open"))
     coeffs = [_offshell_coefficient(u, values, k, params, ab) for k, ab in diffs]
+    m = len(values)
     for k, ck in enumerate(coeffs):
-        rhs = rhs + ck * _b_string(values[:k] + (u,) + values[k + 1 :], params, dual)
+        if dual:
+            rest, start = (u,) + values[k + 1 :], partial[k]
+        else:
+            rest, start = values[:k] + (u,), partial[m - 1 - k]
+        rhs = rhs + ck * _b_string(rest, params, dual, vec=start)[-1]
     num = float(np.max(np.abs(lhs - rhs)))
     den = 1.0 + float(np.max(np.abs(lhs)))
     return OffshellReport(

@@ -59,8 +59,9 @@ SCHEMA = "tl-lab/1"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Reproducibility knobs shared by the report builders: the search's RNG
-    seed and its number of seeds per sector."""
+    """Reproducibility knobs shared by the report builders: the closed-chain
+    search's RNG seed and its number of seeds per sector.  The open chain is
+    solved without a search and ignores them."""
 
     seed: int = 1234
     n_seeds: int = 2000
@@ -206,7 +207,8 @@ def _spectrum_report(params: ModelParams, kind: str, lines, start) -> SpectrumRe
 
 
 def build_open_spectrum(params: ModelParams, config: RunConfig = None) -> SpectrumReport:
-    config = config or RunConfig()
+    """The open spectrum.  The open solve has no search, so ``config`` is
+    only accepted for the builders' common signature."""
     start = time.perf_counter()
     lines = [
         LineRecord(
@@ -219,7 +221,7 @@ def build_open_spectrum(params: ModelParams, config: RunConfig = None) -> Spectr
             predicted=predicted_degeneracy(params, m),
             ambiguous=sol.ambiguous,
         )
-        for m, sols in sorted(solve_all_open(params, config.search()).items())
+        for m, sols in sorted(solve_all_open(params).items())
         for sol in sols
     ]
     return _spectrum_report(params, "open", lines, start)

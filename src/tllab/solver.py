@@ -1,15 +1,26 @@
-"""Multistart Newton solver for the Bethe equations, with sector censuses.
+"""Bethe roots of every spectral line, with sector censuses.
 
-Seeds are drawn log-uniformly from an annulus and driven by a damped
-(backtracking) Newton iteration on the batched residual and Jacobian kernel
-of ``bethe.newton_system``, vectorized across the whole seed batch.  The
-converged root tuples of a sector are then screened as one (b, m) batch:
-singularity guards, per-root canonicalization over the symmetry orbit of
-the equations, a residual check, and deduplication keyed on eigenvalue
-fingerprints, which are evaluated for all candidates in one call.  Every
-surviving line is measured once by ``symmetry.line_degeneracy``: it is kept
-iff its eigenvalue really occurs in the transfer-matrix spectrum (nullity at
-least 1), and it carries that degeneracy and its ``ambiguous`` flag.
+Open chain, spectrum first: the open t(DEGENERACY_PROBE) is eigendecomposed
+once and each distinct eigenvalue is one line.  Lambda(v) of its eigenvector
+is sampled at 3N + 2 points through the matrix-free sweep
+``transfer.open_transfer_apply``, Baxter's TQ relation
+Lambda(v) Q(v) = a(v) Q(v/q) + d(v) Q(v q) is fitted by linear least squares
+for the smallest M, and the zeros of Q give the roots, which ``refine``
+polishes and canonicalizes.
+
+Closed chain, multistart: seeds are drawn log-uniformly from an annulus and
+driven by a damped (backtracking) Newton iteration on the batched residual
+and Jacobian kernel of ``bethe.newton_system``, vectorized across the whole
+seed batch.  The converged root tuples of a sector are then screened as one
+(b, m) batch: singularity guards, per-root canonicalization over the
+symmetry orbit of the equations, a residual check, and deduplication keyed
+on eigenvalue fingerprints, which are evaluated for all candidates in one
+call.
+
+On both chains every line is measured once by ``symmetry.line_degeneracy``:
+it is kept iff its eigenvalue really occurs in the transfer-matrix spectrum
+(nullity at least 1), and it carries that degeneracy and its ``ambiguous``
+flag.
 """
 
 from __future__ import annotations
@@ -23,13 +34,15 @@ import numpy as np
 from .core import DomainError, ModelParams, omega, pi_phase
 from .bethe import (
     BetheSolution,
+    _amplitudes,
     bethe_sides,
     newton_system,
     pole_free_lambda,
     sector_phase,
     twist_from_roots,
 )
-from .symmetry import generator_blocks, line_degeneracy
+from .symmetry import DEGENERACY_PROBE, generator_blocks, line_degeneracy
+from .transfer import open_transfer_apply, transfer_matrix
 
 __all__ = [
     "SearchConfig",
@@ -75,11 +88,17 @@ CLOSURE_RESIDUAL_TOL = 1e-9
 MAGNITUDE_TIE = 1e-12
 #: Site weights are conjugation-stable when their sorted conjugates agree to this.
 THETA_CONJ_TOL = 1e-12
+#: Eigenvalues of t(DEGENERACY_PROBE) closer than this times its spectral
+#: radius are one open-chain line.
+LINE_TOL = 1e-7
+#: Relative residual below which a degree-M polynomial fits the TQ relation.
+TQ_FIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the multistart search: seeds per sector and their RNG seed."""
+    """Knobs of the closed-chain multistart search: seeds per sector and
+    their RNG seed."""
 
     n_seeds: int = 2000
     rng_seed: int = 1234
@@ -197,9 +216,10 @@ def _newton_driver(fun, seeds):
     return results
 
 
-def _draw_seeds(params: ModelParams, m: int, config: SearchConfig, salt: int):
+def _draw_seeds(params: ModelParams, m: int, sector: int, config: SearchConfig):
+    """Log-uniform seeds from SEED_ANNULUS for the closed sector (m, l)."""
     seq = np.random.SeedSequence(
-        (config.rng_seed, params.n_sites, params.twice_spin, m, salt)
+        (config.rng_seed, params.n_sites, params.twice_spin, m, 17 + sector)
     )
     rng = np.random.default_rng(seq)
     lo, hi = np.log(SEED_ANNULUS[0]), np.log(SEED_ANNULUS[1])
@@ -208,27 +228,23 @@ def _draw_seeds(params: ModelParams, m: int, config: SearchConfig, salt: int):
     return mods * np.exp(1j * phases)
 
 
-def _one_root_candidates(params: ModelParams, kind: str, sector=None):
-    """Closed-form M = 1 root candidates used to enrich the seed pool.
+def _one_root_candidates(params: ModelParams, sector: int):
+    """Closed-form closed-chain M = 1 root candidates used to enrich the seed
+    pool.
 
     Writing rho = omega(q u)/omega(u), the one-root equations reduce to
-    rho^(2N) = 1 (open) and rho^(N-2) = e^(-4 pi i l/N) (-1)^(2sN) (closed),
-    after which u^2 = (1/q - rho)/(q - rho).
+    rho^(N-2) = e^(-4 pi i l/N) (-1)^(2sN), after which
+    u^2 = (1/q - rho)/(q - rho).
     """
     q = params.q
     n = params.n_sites
     cands = []
-    if kind == "open":
-        rhos = [np.exp(1j * np.pi * j / n) for j in range(2 * n) if j != 0 and j != n]
-    else:
-        p = n - 2
-        if p <= 0:
-            return []
-        target = np.exp(-4j * np.pi * sector / n) * (-1.0) ** (
-            params.twice_spin * n
-        )
-        base = complex(target) ** (1.0 / p)
-        rhos = [base * np.exp(2j * np.pi * k / p) for k in range(p)]
+    p = n - 2
+    if p <= 0:
+        return []
+    target = np.exp(-4j * np.pi * sector / n) * (-1.0) ** (params.twice_spin * n)
+    base = complex(target) ** (1.0 / p)
+    rhos = [base * np.exp(2j * np.pi * k / p) for k in range(p)]
     for rho in rhos:
         if abs(rho - q) < 1e-12 or abs(rho - 1.0 / q) < 1e-12:
             continue
@@ -244,11 +260,11 @@ def _one_root_candidates(params: ModelParams, kind: str, sector=None):
 # guards, canonicalization, dedup
 
 
-def _passes_guards(u, params: ModelParams, kind: str):
-    """Mask of the root tuples (rows of u, shape (..., m)) that keep clear of
-    the singular points of the equations: |u| outside MODULUS_BOUNDS,
-    u = +-1 or +-1/q, u_i = +-u_j and, open only, u_i u_j = +-1 (i != j) or
-    u_i u_j q = +-1, each to GUARD_TOL in omega."""
+def _passes_guards(u, params: ModelParams):
+    """Mask of the closed-chain root tuples (rows of u, shape (..., m)) that
+    keep clear of the singular points of the equations: |u| outside
+    MODULUS_BOUNDS, u = +-1 or +-1/q and u_i = +-u_j, each to GUARD_TOL in
+    omega."""
     q = params.q
     lo, hi = MODULUS_BOUNDS
     m = u.shape[-1]
@@ -259,9 +275,6 @@ def _passes_guards(u, params: ModelParams, kind: str):
         ok = np.all((lo < mod) & (mod < hi) & ~near, axis=-1)
         ui, uj = u[..., :, None], u[..., None, :]
         bad = (np.abs(omega(ui / uj)) < GUARD_TOL) & off
-        if kind == "open":
-            bad |= (np.abs(omega(ui * uj)) < GUARD_TOL) & off
-            bad |= np.abs(omega(ui * uj * q)) < GUARD_TOL
     return ok & ~np.any(bad, axis=(-2, -1))
 
 
@@ -355,12 +368,13 @@ def _solutions(made, kind, sector=None, keep=slice(None)):
     ]
 
 
-def _candidates(raw, n_roots, params, kind, sector=None):
-    """The guarded, canonical solutions among the Newton root tuples ``raw``."""
+def _candidates(raw, n_roots, params, sector):
+    """The guarded, canonical closed-chain solutions among the Newton root
+    tuples ``raw``."""
     u = np.array(raw, dtype=complex).reshape(-1, n_roots)
-    u = u[_passes_guards(u, params, kind)]
-    made = _make_solution(u, params, kind, sector)
-    return _solutions(made, kind, sector, _passes_guards(made[0], params, kind))
+    u = u[_passes_guards(u, params)]
+    made = _make_solution(u, params, "closed", sector)
+    return _solutions(made, "closed", sector, _passes_guards(made[0], params))
 
 
 def _fingerprints(solutions, params):
@@ -433,16 +447,18 @@ def _magnitude(sol: BetheSolution) -> float:
 
 
 def _solution_key(sol: BetheSolution):
-    if not sol.roots:
-        return (0.0, 0.0, 0.0)
-    z = sol.roots[0]
-    return (abs(z), z.real, z.imag)
+    """Sort key of a line: the (|u|, Re u, Im u) keys of its roots in turn,
+    scaled by ROOT_KEY_SCALE and rounded as in _key_order, so that roundoff
+    in tied moduli does not decide the order."""
+    u = np.asarray(sol.roots, dtype=complex)
+    parts = np.stack([np.abs(u), u.real, u.imag], axis=-1)
+    return tuple(np.rint(parts * ROOT_KEY_SCALE).ravel().tolist())
 
 
-def _conjugate_closure(solutions, params: ModelParams, kind: str, sector=None):
+def _conjugate_closure(solutions, params: ModelParams, sector: int):
     """For real q and conjugation-stable weights, add missing conjugate lines.
 
-    ``solutions`` all belong to one sector (M and, closed, the label l).
+    ``solutions`` all belong to one closed-chain sector (M, l).
     """
     if abs(complex(params.q).imag) > 1e-14:
         return solutions
@@ -452,15 +468,11 @@ def _conjugate_closure(solutions, params: ModelParams, kind: str, sector=None):
     extra = []
     rows = [sol.roots for sol in solutions if sol.roots]
     if rows:
-        made = _make_solution(np.conj(rows), params, kind, sector)
+        made = _make_solution(np.conj(rows), params, "closed", sector)
         roots, _, residual = made
-        keep = (residual < CLOSURE_RESIDUAL_TOL) & _passes_guards(roots, params, kind)
-        extra = _solutions(made, kind, sector, keep)
+        keep = (residual < CLOSURE_RESIDUAL_TOL) & _passes_guards(roots, params)
+        extra = _solutions(made, "closed", sector, keep)
     return dedup_solutions(list(solutions) + extra, params)
-
-
-# ---------------------------------------------------------------------------
-# sector solvers
 
 
 def _measured(solutions, params: ModelParams):
@@ -477,31 +489,122 @@ def _measured(solutions, params: ModelParams):
     return kept
 
 
-def solve_sector_open(params: ModelParams, n_roots: int, config: SearchConfig = None):
-    """All Bethe solutions of the open chain with M = n_roots.
+# ---------------------------------------------------------------------------
+# open chain: the spectrum first, then Baxter's TQ relation
 
-    Clearing the denominators of the Bethe equations introduces parasitic
-    zeros where both cleared sides vanish through different factors (for
-    instance u_k near 1/q together with u_i u_j near 1/q^2), so every
-    candidate, the M = 0 vacuum included, is kept only if its eigenvalue
-    really occurs in the transfer-matrix spectrum.
+
+def _tq_points(n_sites: int) -> np.ndarray:
+    """The 3N + 2 generic points p_k = 0.7 + 0.2k + 0.9ik/(3N) at which each
+    line's Lambda is sampled."""
+    k = np.arange(3 * n_sites + 2)
+    return 0.7 + 0.2 * k + 0.9j * k / (3 * n_sites)
+
+
+def _line_vectors(params: ModelParams) -> np.ndarray:
+    """One right eigenvector of the open t(DEGENERACY_PROBE) per line, as
+    the rows of the result: eigenvalues closer than LINE_TOL times the
+    spectral radius are one line, represented by the first of them."""
+    eigs, vecs = np.linalg.eig(transfer_matrix(DEGENERACY_PROBE, params, "open").matrix)
+    tol = LINE_TOL * np.max(np.abs(eigs))
+    first = []
+    for i, lam in enumerate(eigs):
+        if not first or np.min(np.abs(eigs[first] - lam)) >= tol:
+            first.append(i)
+    return vecs[:, first].T
+
+
+def _sampled_lambda(vectors, points, params: ModelParams) -> np.ndarray:
+    """Lambda(v) = x^H t(v) x / x^H x for every row x of ``vectors`` at every
+    point, shape (lines, points): one batched sweep per point, so no dense
+    t(v) is built."""
+    bra = vectors.conj()
+    samples = [np.sum(bra * open_transfer_apply(v, params, vectors), axis=-1) for v in points]
+    return np.stack(samples, axis=-1) / np.sum(bra * vectors, axis=-1)[:, None]
+
+
+def _z(v, q):
+    """z(v) = q v^2 + 1/(q v^2): the open Q-function is
+    Q(v) = prod_k omega(v/u_k) omega(v q u_k) = prod_k (z(v) - z(u_k))."""
+    return q * v * v + 1.0 / (q * v * v)
+
+
+def _tq_polynomials(lam, points, params: ModelParams):
+    """For each line (row of ``lam``, its Lambda at the points): the monic P
+    of the smallest degree M <= N/2, coefficients lowest first, such that
+    Q(v) = P(z(v)) solves Lambda(v) Q(v) = a(v) Q(v/q) + d(v) Q(v q) by
+    least squares to TQ_FIT_TOL relative to the largest of the three terms;
+    None for a line that no M fits.  Points on a pole of a or d are skipped."""
+    q = params.q
+    a, d, ok = _amplitudes(points, params, "open")
+    v = points[ok]
+    zs = (_z(v, q), _z(v / q, q), _z(v * q, q))
+    out = []
+    for row in lam[:, ok]:
+        found = None
+        for m in range(params.n_sites // 2 + 1):
+            # one (points, m + 1) matrix per term: its weight times z^i
+            terms = [w[:, None] * z[:, None] ** np.arange(m + 1)
+                     for w, z in zip((row, -a[ok], -d[ok]), zs)]
+            cols = sum(terms)
+            scale = np.linalg.norm(cols[:, :m], axis=0)
+            low = np.linalg.lstsq(cols[:, :m] / scale, -cols[:, m], rcond=None)[0] / scale
+            p = np.append(low, 1.0)
+            size = max(np.linalg.norm(t @ p) for t in terms)
+            if np.linalg.norm(cols @ p) <= TQ_FIT_TOL * size:
+                found = p
+                break
+        out.append(found)
+    return out
+
+
+def _tq_roots(p, q) -> np.ndarray:
+    """Roots u_k whose z(u_k) are the zeros z_k of P: w + 1/w = z_k, then
+    u = sqrt(w/q) (either w and either sign lie on one orbit)."""
+    z = np.roots(p[::-1])
+    w = 0.5 * (z + np.sqrt(z * z - 4.0))
+    return np.sqrt(w / q)
+
+
+def solve_all_open(params: ModelParams):
+    """Every open-chain line, as a dict M -> list of solutions.
+
+    Each distinct eigenvalue of t(DEGENERACY_PROBE) is one line.  Its
+    Lambda(v), sampled matrix-free at _tq_points, fixes M and Q through the
+    TQ relation; ``refine`` polishes and canonicalizes the zeros of Q.  As
+    on the closed chain a line is kept iff its roots' eigenvalue has nullity
+    at least 1 (``_measured``).  A line that fits no M <= N/2, or whose
+    roots do not polish, is dropped, and the census then shows the gap.
     """
-    config = config or SearchConfig()
-    if n_roots == 0:
-        return _measured([BetheSolution(kind="open", roots=())], params)
-    if 2 * n_roots > params.n_sites:
+    points = _tq_points(params.n_sites)
+    lam = _sampled_lambda(_line_vectors(params), points, params)
+    cands = []
+    for p in _tq_polynomials(lam, points, params):
+        if p is None:
+            continue
+        if len(p) == 1:
+            cands.append(BetheSolution(kind="open", roots=()))
+            continue
+        try:
+            cands.append(refine(_tq_roots(p, params.q), params, "open"))
+        except DomainError:
+            continue
+    lines = {m: [] for m in range(params.n_sites // 2 + 1)}
+    for sol in sorted(_measured(cands, params), key=_solution_key):
+        lines[sol.n_roots].append(sol)
+    return lines
+
+
+def solve_sector_open(params: ModelParams, n_roots: int):
+    """The open-chain lines with M = n_roots: one slice of ``solve_all_open``."""
+    if not 0 <= 2 * n_roots <= params.n_sites:
         raise DomainError(
-            f"M = {n_roots} exceeds N/2 = {params.n_sites / 2} for the open chain"
+            f"M = {n_roots} is outside 0..N/2 = {params.n_sites / 2} for the open chain"
         )
-    seeds = _draw_seeds(params, n_roots, config, salt=0)
-    if n_roots == 1:
-        extra = _one_root_candidates(params, "open")
-        if extra:
-            seeds = np.vstack([np.array(extra, dtype=complex), seeds])
-    raw = _newton_driver(newton_system(params, "open"), seeds)
-    sols = dedup_solutions(_candidates(raw, n_roots, params, "open"), params)
-    sols = _conjugate_closure(sols, params, "open")
-    return dedup_solutions(_measured(sols, params), params)
+    return solve_all_open(params)[n_roots]
+
+
+# ---------------------------------------------------------------------------
+# closed chain: multistart sector solvers
 
 
 def solve_sector_closed(
@@ -525,15 +628,15 @@ def solve_sector_closed(
     elif n == 2 and n_roots == 1:
         cands = _anchored_two_site(params, sector)
     else:
-        seeds = _draw_seeds(params, n_roots, config, salt=17 + sector)
+        seeds = _draw_seeds(params, n_roots, sector, config)
         if n_roots == 1:
-            extra = _one_root_candidates(params, "closed", sector)
+            extra = _one_root_candidates(params, sector)
             if extra:
                 seeds = np.vstack([np.array(extra, dtype=complex), seeds])
         raw = _newton_driver(newton_system(params, "closed", sector), seeds)
-        cands = _candidates(raw, n_roots, params, "closed", sector)
+        cands = _candidates(raw, n_roots, params, sector)
         cands = dedup_solutions(cands, params)
-        cands = _conjugate_closure(cands, params, "closed", sector)
+        cands = _conjugate_closure(cands, params, sector)
     return dedup_solutions(_measured(cands, params), params)
 
 
@@ -567,16 +670,11 @@ def _anchored_two_site(params: ModelParams, sector: int):
             kappas.append(kappa)
     u = np.array(roots, dtype=complex).reshape(-1, 1)
     kappas = np.array(kappas, dtype=complex)
-    ok = _passes_guards(u, params, "closed")
+    ok = _passes_guards(u, params)
     made = _make_solution(u[ok], params, "closed", sector)
     # the roots must reproduce the kappa they were solved for
     keep = ~(np.abs(made[1] - kappas[ok]) > 1e-6 * (1.0 + np.abs(kappas[ok])))
     return dedup_solutions(_solutions(made, "closed", sector, keep), params)
-
-
-def solve_all_open(params: ModelParams, config: SearchConfig = None):
-    """Solutions for every open sector, as a dict M -> list of solutions."""
-    return {m: solve_sector_open(params, m, config) for m in range(params.n_sites // 2 + 1)}
 
 
 def solve_all_closed(params: ModelParams, config: SearchConfig = None):

@@ -159,12 +159,19 @@ def open_monodromy_apply(u, params: ModelParams, state, dual=False, absolute=Fal
 
 
 def open_transfer_apply(u, params: ModelParams, vec, dual=False) -> np.ndarray:
-    """t(u) vec, or the row vector vec t(u) when ``dual``, without forming t(u):
-    one sweep batched over the diagonal aux entries, weighted by diag(M)."""
+    """t(u) vec, or the row vector vec t(u) when ``dual``, without forming t(u).
+
+    ``vec`` has shape (..., D): any batch axes, then the chain vectors, and
+    the result has the same shape.  One sweep covers the whole batch and the
+    diagonal aux entries, which are weighted by diag(M).
+    """
     d = params.site_dim
-    x = np.einsum("ij,...->ij...", np.eye(d), np.reshape(vec, (d,) * params.n_sites))
-    y = open_monodromy_apply(u, params, x, dual)
-    return np.einsum("j,jj...->...", np.diag(crossing_pair(params)[1]), y).reshape(-1)
+    vec = np.asarray(vec)
+    lead = vec.shape[:-1]
+    x = np.einsum("ij,...k->...ijk", np.eye(d), vec)
+    y = open_monodromy_apply(u, params, x.reshape(lead + (d,) * (params.n_sites + 2)), dual)
+    m_diag = np.diag(crossing_pair(params)[1])
+    return np.einsum("j,...jjk->...k", m_diag, y.reshape(lead + (d, d, -1)))
 
 
 def _closed_transfer_matrix(u: complex, params: ModelParams) -> np.ndarray:

@@ -153,7 +153,8 @@ def test_each_line_is_measured_once(monkeypatch, kind, n_sites, solve, build):
     # also counted if the solver ever factors t(u0) - Lambda itself
     monkeypatch.setattr("tllab.solver.measure_degeneracy", counted, raising=False)
     params = ModelParams.create(n_sites, "1/2")
-    solve(params, FAST.search())
+    # the open solve has no search to configure
+    solve(params, *(() if kind == "open" else (FAST.search(),)))
     solve_calls = len(calls)
     calls.clear()
     report = build(params, FAST)

@@ -1,15 +1,21 @@
 """Root search: censuses, canonical forms, dedup, and the anchored sector."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tllab import solver, symmetry
 from tllab.bethe import PROBE_NUDGE, PROBE_TRIES, eval_lambda
 from tllab.core import DomainError, ModelParams
 from tllab.report import RunConfig, build_closed_spectrum, build_open_spectrum
+from tllab.symmetry import DEGENERACY_PROBE
+from tllab.transfer import _transfer_cached
 from tllab.solver import (
     FINGERPRINT_PROBES,
     SearchConfig,
     _passes_guards,
+    _solution_key,
     canonical_roots,
     chebyshev_dim,
     dedup_solutions,
@@ -94,24 +100,22 @@ def test_guards_reject_each_singular_point():
     params = ModelParams.create(4, "1/2")  # q = 0.5
     q = params.q
     g, h = 1.3 + 0.4j, 0.9 - 0.2j
-    both = [
+    singular = [
         (1e-7, h), (1e7, h),  # |u| outside MODULUS_BOUNDS
         (1.0, h), (-1.0, h),  # omega(u) = 0
         (1.0 / q, h), (-1.0 / q, h),  # omega(q u) = 0
         (g, g), (g, -g),  # u_i = +-u_j
     ]
-    open_only = [
+    # singular for the open equations only, which are not searched
+    regular = [
         (g, 1.0 / g), (g, -1.0 / g),  # u_i u_j = +-1
         (g, 1.0 / (q * g)),  # u_i u_j q = 1
         (np.sqrt(1.0 / q), h),  # u_i u_i q = 1
     ]
-    batch = np.array([(g, h)] + both + open_only)
-    want_open = np.array([True] + [False] * (len(both) + len(open_only)))
-    want_closed = np.array([True] + [False] * len(both) + [True] * len(open_only))
-    for kind, want in (("open", want_open), ("closed", want_closed)):
-        mask = _passes_guards(batch, params, kind)
-        assert np.array_equal(mask, want), kind
-        assert [bool(_passes_guards(row, params, kind)) for row in batch] == list(want)
+    batch = np.array([(g, h)] + singular + regular)
+    want = np.array([True] + [False] * len(singular) + [True] * len(regular))
+    assert np.array_equal(_passes_guards(batch, params), want)
+    assert [bool(_passes_guards(row, params)) for row in batch] == list(want)
 
 
 def test_batched_fingerprint_matches_rows():
@@ -138,7 +142,7 @@ def test_batched_fingerprint_matches_rows():
 def test_open_census_matches_multiplicities():
     for n_sites in (2, 3, 4):
         params = ModelParams.create(n_sites, "1/2")
-        sols = solve_all_open(params, FAST)
+        sols = solve_all_open(params)
         for m, lines in sols.items():
             assert len(lines) == multiplicity(n_sites, n_sites - 2 * m), (
                 n_sites,
@@ -146,12 +150,69 @@ def test_open_census_matches_multiplicities():
             )
 
 
+@pytest.mark.parametrize(
+    "n_sites, spin, q",
+    [
+        (6, "1/2", 0.5),
+        (7, "1/2", 0.5),
+        *((5, "1/2", q) for q in (0.3, 0.7, 1.5, 0.4 + 0.3j)),
+        (4, "1", 0.5),
+        (4, "3/2", 0.5),
+    ],
+)
+def test_open_spectrum_is_complete(n_sites, spin, q):
+    # each sector holds C(N,M) - C(N,M-1) lines of degeneracy p_(N-2M)(2s+1),
+    # and together they fill the Hilbert space
+    params = ModelParams.create(n_sites, spin, q=q)
+    lines = solve_all_open(params)
+    assert sorted(lines) == list(range(n_sites // 2 + 1))
+    for m, sols in lines.items():
+        assert len(sols) == multiplicity(n_sites, n_sites - 2 * m), m
+        assert [sol.degeneracy for sol in sols] == [predicted_degeneracy(params, m)] * len(sols)
+        assert not any(sol.ambiguous for sol in sols), m
+    total = sum(sol.degeneracy for sols in lines.values() for sol in sols)
+    assert total == params.site_dim**n_sites
+
+
+def test_open_solve_builds_transfer_matrices_only_at_the_probe(monkeypatch):
+    # Lambda is sampled by sweeps: the only dense t(u) are the probe's (nudged
+    # off a pole of some line's Lambda at most), and nothing else is cached
+    points = []
+    for module in (solver, symmetry):
+        def recorded(u, params, kind, _inner=module.transfer_matrix):
+            points.append(complex(u))
+            return _inner(u, params, kind)
+
+        monkeypatch.setattr(module, "transfer_matrix", recorded)
+    _transfer_cached.cache_clear()
+    solve_all_open(ModelParams.create(5, "1/2"))
+    probes = DEGENERACY_PROBE * PROBE_NUDGE ** np.arange(PROBE_TRIES)
+    assert points
+    assert all(np.min(np.abs(probes - u)) < 1e-12 for u in points), points
+    assert _transfer_cached.cache_info().currsize == len(set(points))
+
+
+def test_line_order_does_not_follow_roundoff():
+    # the four open N=5, s=1/2 lines with M=1 all have |u| = sqrt(2): copies
+    # perturbed by a few ulps and shuffled must still sort to one order
+    lines = solve_sector_open(ModelParams.create(5, "1/2"), 1)
+    assert np.ptp([abs(sol.roots[0]) for sol in lines]) < 1e-14
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        noisy = [
+            replace(sol, roots=tuple(r * (1.0 + 1e-15 * rng.normal()) for r in sol.roots))
+            for sol in lines
+        ]
+        order = sorted(rng.permutation(len(lines)), key=lambda i: _solution_key(noisy[i]))
+        assert order == list(range(len(lines)))
+
+
 def test_no_parasitic_lines_in_two_root_sector():
     # clearing denominators creates zero sets near u = 1/q with
     # u_1 u_2 = 1/q^2 that are not transfer eigenvalues; the spectrum
     # filter must reject them
     params = ModelParams.create(4, "1/2")
-    lines = solve_sector_open(params, 2, FAST)
+    lines = solve_sector_open(params, 2)
     assert len(lines) == 2
     mags = sorted(abs(r) for sol in lines for r in sol.roots)
     # genuine lines stay away from the double pole at u = 2
@@ -162,7 +223,7 @@ def test_no_parasitic_lines_in_two_root_sector():
 
 def test_conjugate_pair_line_present():
     params = ModelParams.create(4, "1/2")
-    lines = solve_sector_open(params, 2, FAST)
+    lines = solve_sector_open(params, 2)
     conj = [
         sol
         for sol in lines
@@ -196,7 +257,7 @@ def test_refine_converges_from_perturbed_start():
 def test_sector_bound_raises():
     params = ModelParams.create(4, "1/2")
     with pytest.raises(DomainError):
-        solve_sector_open(params, 3, FAST)
+        solve_sector_open(params, 3)
 
 
 def test_anchored_two_site_closed_sector():

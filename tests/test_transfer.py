@@ -1,6 +1,7 @@
 """Transfer matrices: special values, commutativity, Hamiltonian limits."""
 
 import numpy as np
+import pytest
 
 from tllab.core import ModelParams, omega
 from tllab.operators import hamiltonian
@@ -10,6 +11,7 @@ from tllab.transfer import (
     closed_transfer,
     hamiltonian_from_transfer,
     open_transfer,
+    open_transfer_apply,
     random_thetas,
     transfer_matrix,
 )
@@ -25,6 +27,21 @@ def test_open_transfer_at_one_is_scalar():
         t1 = open_transfer(1.0, params).matrix
         scalar = params.coupling * omega(params.q) ** (2 * n_sites)
         assert _rel(t1, scalar * np.eye(t1.shape[0])) < 1e-12, (n_sites, spin)
+
+
+@pytest.mark.parametrize("n_sites, spin", [(3, "1"), (4, "1/2")])
+def test_batched_transfer_apply_matches_dense(n_sites, spin):
+    # a batch of vectors, ket and dual, goes through one sweep
+    params = ModelParams.create(n_sites, spin)
+    rng = np.random.default_rng(34)
+    dim = params.site_dim**n_sites
+    vecs = rng.normal(size=(2, 3, dim)) + 1j * rng.normal(size=(2, 3, dim))
+    u = 1.07 + 0.38j
+    t = open_transfer(u, params).matrix
+    for dual, want in ((False, vecs @ t.T), (True, vecs @ t)):
+        got = open_transfer_apply(u, params, vecs, dual)
+        assert got.shape == vecs.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dual
 
 
 def test_closed_transfer_at_one_is_shift():
