@@ -17,16 +17,16 @@ import numpy as np
 
 from .core import POLE_TOL, DomainError, ModelParams, omega
 from .transfer import open_monodromy_apply, open_transfer_apply
-from .bethe import bethe_residuals, eval_lambda, lambda_partial
+from .bethe import _lambda_terms, bethe_sides, lambda_partial
 from .symmetry import generator_blocks
 
 __all__ = [
     "BetheVector",
     "reference_state",
     "bethe_vector",
-    "offshell_coefficient",
     "OffshellReport",
     "offshell_residual",
+    "offshell_residuals",
     "HighestWeightReport",
     "check_highest_weight",
     "gaudin_matrix",
@@ -52,18 +52,27 @@ def reference_state(params: ModelParams) -> np.ndarray:
 
 
 def _b_string(values, params: ModelParams, dual: bool, absolute=False, vec=None):
-    """B(v_1)...B(v_M) vec, or vec C(v_1)...C(v_M) when ``dual``, by sweeps;
-    ``vec`` defaults to the reference state.  Returns every partial string,
-    ``vec`` first: the suffixes B(v_k)...B(v_M) vec with k falling, or the
-    prefixes vec C(v_1)...C(v_k) with k rising."""
+    """B(v_1)...B(v_M) vec, or vec C(v_1)...C(v_M) when ``dual``, by sweeps.
+
+    ``values`` has shape (..., M), any batch axes then the string; ``vec``
+    has shape (..., D) and defaults to the reference state.  Returns every
+    partial string, ``vec`` first: the suffixes B(v_k)...B(v_M) vec with k
+    falling, or the prefixes vec C(v_1)...C(v_k) with k rising.
+    """
     d, n = params.site_dim, params.n_sites
+    values = np.asarray(values, dtype=complex)
+    lead = values.shape[:-1]
     if vec is None:
         vec = reference_state(params).real if absolute else reference_state(params)
+        vec = np.broadcast_to(vec, lead + vec.shape).copy()
     out = [vec]
-    for v in values if dual else reversed(values):
-        x = np.zeros((d,) * (n + 1), dtype=vec.dtype)
-        x[d - 1] = vec.reshape((d,) * n)
-        vec = open_monodromy_apply(v, params, x, dual, absolute)[0].reshape(-1)
+    m = values.shape[-1]
+    for k in range(m) if dual else reversed(range(m)):
+        x = np.zeros(lead + (d, d**n), dtype=vec.dtype)
+        x[..., d - 1, :] = vec
+        x = x.reshape(lead + (d,) * (n + 1))
+        x = open_monodromy_apply(values[..., k], params, x, dual, absolute)
+        vec = x.reshape(lead + (d, -1))[..., 0, :]
         out.append(vec)
     return out
 
@@ -76,102 +85,115 @@ def bethe_vector(values, params: ModelParams, dual: bool = False) -> BetheVector
     with |R| on the reference state, which bounds every entry of the string
     without cancellation.
     """
-    return _bethe_vector(values, params, dual)[0]
+    values = tuple(complex(v) for v in values)
+    vanished, partial = _bethe_strings(np.array(values, dtype=complex), params, dual)
+    return BetheVector(values=values, vector=partial[-1], dual=dual, vanished=bool(vanished))
 
 
-def _bethe_vector(values, params: ModelParams, dual: bool):
-    """``bethe_vector`` and the partial strings of ``_b_string``."""
+def _bethe_strings(values, params: ModelParams, dual: bool):
+    """The ``vanished`` flags and the partial strings of ``_b_string`` for
+    strings ``values`` of shape (..., M); the flags have shape (...)."""
     if not params.homogeneous:
         raise DomainError("Bethe vectors are defined for homogeneous weights")
-    values = tuple(complex(v) for v in values)
     partial = _b_string(values, params, dual)
-    vec = partial[-1]
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1], dtype=bool), partial
     bound = _b_string(values, params, dual, absolute=True)[-1]
-    vanished = bool(np.max(np.abs(vec)) <= 1e-12 * np.max(bound)) if values else False
-    return BetheVector(values=values, vector=vec, dual=dual, vanished=vanished), partial
+    vanished = np.max(np.abs(partial[-1]), axis=-1) <= 1e-12 * np.max(bound, axis=-1)
+    return vanished, partial
 
 
-def offshell_coefficient(u, values, k: int, params: ModelParams) -> complex:
-    """Weight lambda_k of the unwanted term where u replaces the k-th value.
+def _pole_guard(values, what: str) -> None:
+    """DomainError naming the first row where some |value| < POLE_TOL."""
+    hit = np.abs(values) < POLE_TOL
+    if hit.any():
+        row = int(np.argwhere(hit)[0][0])
+        raise DomainError(f"offshell coefficient pole in row {row}: {what}")
+
+
+def _offshell_coefficients(points, values, side_diff, params: ModelParams):
+    """Weights lambda_k of the unwanted terms, where u replaces the k-th value.
 
     lambda_k = -omega(q) omega(u^2 q^2) omega(u_k^2)
                / [omega(u/u_k) omega(u u_k q) omega(u_k^2 q)]
                * (A_k - B_k) / prod_(j!=k) omega(u_k/u_j) omega(u_k u_j q),
 
     with A_k, B_k the two sides of the k-th open Bethe equation
-    (``bethe.bethe_sides``); at unit weights A_k carries omega(u_k q)^(2N)
-    and B_k omega(u_k)^(2N).
+    (``bethe.bethe_sides``, given as ``side_diff``).  Batched over rows: u
+    has shape (b,), the values and the result shape (b, M).
     """
-    return _offshell_coefficient(
-        u, values, k, params, bethe_residuals(values, params, "open")[k]
-    )
-
-
-def _offshell_coefficient(u, values, k: int, params: ModelParams, side_diff):
-    """``offshell_coefficient`` given A_k - B_k."""
-    u = complex(u)
     q = params.q
-    uk = complex(values[k])
+    u = points[:, None]
+    uk = values
     poles = (omega(u / uk), omega(u * uk * q), omega(uk * uk * q))
     for name, val in zip(("omega(u/u_k)", "omega(u u_k q)", "omega(u_k^2 q)"), poles):
-        if abs(val) < POLE_TOL:
-            raise DomainError(f"offshell coefficient pole: {name} vanishes")
-    pref = -(
-        omega(q) * omega(u * u * q * q) * omega(uk * uk)
-        / (poles[0] * poles[1] * poles[2])
-    )
-    denom = 1.0 + 0.0j
-    for j, uj in enumerate(values):
-        if j == k:
-            continue
-        pair = omega(uk / complex(uj)) * omega(uk * complex(uj) * q)
-        if abs(pair) < POLE_TOL:
-            raise DomainError("offshell coefficient pole: coincident values")
-        denom *= pair
-    return pref * side_diff / denom
+        _pole_guard(val, f"{name} vanishes")
+    pref = -(omega(q) * omega(u * u * q * q) * omega(uk * uk) / (poles[0] * poles[1] * poles[2]))
+    # pair[:, k, j] = omega(u_k/u_j) omega(u_k u_j q), j != k
+    pair = omega(uk[:, :, None] / uk[:, None, :]) * omega(uk[:, :, None] * uk[:, None, :] * q)
+    off = ~np.eye(uk.shape[1], dtype=bool)
+    _pole_guard(pair[:, off], "coincident values")
+    return pref * side_diff / np.prod(np.where(off, pair, 1.0), axis=-1)
 
 
 @dataclass(frozen=True)
 class OffshellReport:
+    """Off-shell check of one configuration, or of a batch of them: each
+    field then holds an array over rows (``coefficients`` of shape (b, M))."""
+
     residual: float
     eigenvalue: complex
     coefficients: tuple
     vanished: bool
 
 
-def offshell_residual(
-    u, values, params: ModelParams, dual: bool = False
-) -> OffshellReport:
-    """Relative residual of the off-shell transfer-matrix action.
+def offshell_residuals(points, values, params: ModelParams, dual: bool = False) -> OffshellReport:
+    """Relative residuals of the off-shell transfer-matrix action, batched.
 
-    Measures t(u)|v> - Lambda(u; v)|v> - sum_k lambda_k |v with v_k -> u>
-    against |t(u)|v>| (row-vector version when ``dual``).  Each replaced
-    string continues a partial string of |v>: B(u) B(v_(k+1))...B(v_M)|0>
-    is built on the main string's suffix, <0|C(v_1)...C(v_(k-1)) C(u) on
-    its prefix.
+    Row i measures t(u_i)|v_i> - Lambda(u_i; v_i)|v_i>
+    - sum_k lambda_k |v_i with v_ik -> u_i> against |t(u_i)|v_i>| (the
+    row-vector version when ``dual``), for points u of shape (b,) and
+    values v of shape (b, M).  Each replaced string continues a partial
+    string of |v>: B(u) B(v_(k+1))...B(v_M)|0> is built on the main
+    string's suffix, <0|C(v_1)...C(v_(k-1)) C(u) on its prefix.  A row at
+    a pole of Lambda or of a weight lambda_k raises DomainError naming it.
     """
-    u = complex(u)
-    values = tuple(complex(v) for v in values)
-    state, partial = _bethe_vector(values, params, dual)
-    lhs = open_transfer_apply(u, params, state.vector, dual)
-    lam = eval_lambda(u, values, params, "open")
-    rhs = lam * state.vector
-    diffs = enumerate(bethe_residuals(values, params, "open"))
-    coeffs = [_offshell_coefficient(u, values, k, params, ab) for k, ab in diffs]
-    m = len(values)
-    for k, ck in enumerate(coeffs):
+    u = np.asarray(points, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    vanished, partial = _bethe_strings(values, params, dual)
+    state = partial[-1]
+    lhs = open_transfer_apply(u, params, state, dual)
+    (term_a, term_d), _, ok = _lambda_terms(u[:, None], values, params, "open")
+    if not ok.all():
+        row = int(np.argwhere(~ok)[0][0])
+        raise DomainError(f"Lambda has a pole at u = {u[row]} (row {row})")
+    lam = term_a[:, 0] + term_d[:, 0]
+    a, b, _ = bethe_sides(values, params, "open")
+    coeffs = _offshell_coefficients(u, values, a - b, params)
+    rhs = lam[:, None] * state
+    m = values.shape[1]
+    for k in range(m):
         if dual:
-            rest, start = (u,) + values[k + 1 :], partial[k]
+            rest, start = np.concatenate([u[:, None], values[:, k + 1 :]], axis=1), partial[k]
         else:
-            rest, start = values[:k] + (u,), partial[m - 1 - k]
-        rhs = rhs + ck * _b_string(rest, params, dual, vec=start)[-1]
-    num = float(np.max(np.abs(lhs - rhs)))
-    den = 1.0 + float(np.max(np.abs(lhs)))
+            rest, start = np.concatenate([values[:, :k], u[:, None]], axis=1), partial[m - 1 - k]
+        rhs = rhs + coeffs[:, k, None] * _b_string(rest, params, dual, vec=start)[-1]
+    num = np.max(np.abs(lhs - rhs), axis=-1)
+    den = 1.0 + np.max(np.abs(lhs), axis=-1)
     return OffshellReport(
-        residual=num / den,
-        eigenvalue=lam,
-        coefficients=tuple(coeffs),
-        vanished=state.vanished,
+        residual=num / den, eigenvalue=lam, coefficients=coeffs, vanished=vanished
+    )
+
+
+def offshell_residual(u, values, params: ModelParams, dual: bool = False) -> OffshellReport:
+    """``offshell_residuals`` for one configuration: point u and values v."""
+    values = tuple(complex(v) for v in values)
+    rep = offshell_residuals([complex(u)], [values], params, dual)
+    return OffshellReport(
+        residual=float(rep.residual[0]),
+        eigenvalue=complex(rep.eigenvalue[0]),
+        coefficients=tuple(complex(c) for c in rep.coefficients[0]),
+        vanished=bool(rep.vanished[0]),
     )
 
 

@@ -105,14 +105,15 @@ def hamiltonian(params: ModelParams) -> np.ndarray:
 def r_matrix(u, params: ModelParams) -> np.ndarray:
     """R(u) = omega(u q) P + omega(u) P X on C^d (x) C^d.
 
-    Regular point: R(1) = omega(q) P.  At u = 1/q it degenerates to a
-    multiple of the rank-d projector (see tl_projector).
+    ``u`` is a point or an array of points; the result has shape
+    u.shape + (d^2, d^2).  Regular point: R(1) = omega(q) P.  At u = 1/q it
+    degenerates to a multiple of the rank-d projector (see tl_projector).
     """
-    u = complex(u)
-    if u == 0:
+    u = np.asarray(u, dtype=complex)
+    if (u == 0).any():
         raise DomainError("r_matrix undefined at u = 0")
-    d = params.site_dim
-    p = permutation_matrix(d)
+    u = u[..., None, None]
+    p = permutation_matrix(params.site_dim)
     return omega(u * params.q) * p + omega(u) * (p @ tl_generator(params))
 
 

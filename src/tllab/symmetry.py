@@ -15,17 +15,12 @@ import numpy as np
 import scipy.linalg
 
 from .core import DomainError, ModelParams
-from .operators import (
-    crossing_pair,
-    embed_two,
-    partial_transpose,
-    r_asymptotic,
-)
+from .operators import crossing_pair, partial_transpose, r_asymptotic
 from .transfer import (
     TransferEval,
     _sweep_blocks,
-    monodromy_dense,
-    open_transfer,
+    open_monodromy_apply,
+    open_transfer_apply,
     transfer_matrix,
 )
 from .bethe import pole_free_lambda
@@ -35,7 +30,6 @@ __all__ = [
     "RANK_TOL",
     "SymmetryReport",
     "generator_blocks",
-    "generator_dense",
     "check_symmetry",
     "measure_degeneracy",
     "line_degeneracy",
@@ -65,16 +59,31 @@ def generator_blocks(params: ModelParams, sign: str) -> np.ndarray:
     return _sweep_blocks(tensors, d, hatted=False)
 
 
-def generator_dense(params: ModelParams, sign: str) -> np.ndarray:
-    """T^± as one dense matrix on aux (x) chain (aux slowest)."""
-    blocks = generator_blocks(params, sign)
-    d = params.site_dim
-    dim = d**params.n_sites
-    return blocks.transpose(0, 2, 1, 3).reshape(d * dim, d * dim)
-
-
 def _rel(delta: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(np.abs(delta)) / (1.0 + np.max(np.abs(scale))))
+
+
+#: check_symmetry applies both sides of each commutator to this many random
+#: columns, drawn from a generator seeded with _COLUMN_SEED.
+_COLUMNS = 4
+_COLUMN_SEED = 2016
+
+
+def _exchange_residual(params: ModelParams, r_pm, blocks, u, y) -> float:
+    """Relative residual of [R^±_12 T^±_1, T_2(u) T^_2(u)] on the columns
+    ``y``, shape (C, d, d, D) over aux1 (x) aux2 (x) chain."""
+    d = params.site_dim
+    r4 = r_pm.reshape(d, d, d, d)
+
+    def lhs(z):  # R^±_12 T^±_1
+        return np.einsum("xyab,cabi->cxyi", r4, np.einsum("abij,cbxj->caxi", blocks, z))
+
+    def double_row(z):  # T_2(u) T^_2(u), with the columns and aux1 as batch axes
+        state = z.reshape(z.shape[:3] + (d,) * params.n_sites)
+        return open_monodromy_apply(u, params, state).reshape(z.shape)
+
+    left = lhs(double_row(y))
+    return _rel(left - double_row(lhs(y)), left)
 
 
 def check_symmetry(params: ModelParams, probes=(0.93 + 0.41j, 1.31 - 0.27j)):
@@ -84,11 +93,20 @@ def check_symmetry(params: ModelParams, probes=(0.93 + 0.41j, 1.31 - 0.27j)):
       * [T^±_{ij}, t(u)] = 0 for all blocks, at each probe u;
       * [R^±_{12} T^±_1, T_2(u) T^_2(u)] = 0 on aux (x) aux (x) chain;
       * M_1^{-1} ((R^±)^{-1})^{t2} M_1 (R^±)^{t2} = Id.
-    Returns the largest relative residual of each family.
+    Both commutators are applied to random columns, t(u) and T_2(u) T^_2(u)
+    by site sweeps, so no operator larger than a D x D generator block is
+    formed.  Returns the largest relative residual of each family.
     """
     d = params.site_dim
     dim = d**params.n_sites
     _, m = crossing_pair(params)
+    rng = np.random.default_rng(_COLUMN_SEED)
+
+    def columns(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    x = columns(_COLUMNS, dim)  # chain vectors
+    y = columns(_COLUMNS, d, d, dim)  # aux1 (x) aux2 (x) chain vectors
     details = {}
     comm_res = 0.0
     exch_res = 0.0
@@ -96,26 +114,19 @@ def check_symmetry(params: ModelParams, probes=(0.93 + 0.41j, 1.31 - 0.27j)):
     for sign in ("+", "-"):
         blocks = generator_blocks(params, sign)
         for u in probes:
-            t = open_transfer(u, params).matrix
-            worst = 0.0
-            for i in range(d):
-                for j in range(d):
-                    g = blocks[i, j]
-                    worst = max(worst, _rel(g @ t - t @ g, g @ t))
+            gtx = np.einsum("ijab,cb->ijca", blocks, open_transfer_apply(u, params, x))
+            tgx = open_transfer_apply(u, params, np.einsum("ijab,cb->ijca", blocks, x))
+            worst = max(
+                _rel(gtx[i, j] - tgx[i, j], gtx[i, j]) for i in range(d) for j in range(d)
+            )
             details[f"commutator {sign} u={u}"] = worst
             comm_res = max(comm_res, worst)
 
         r_pm = r_asymptotic(sign, params)
-        dims3 = [d, d, dim]
-        t1 = embed_two(generator_dense(params, sign), dims3, 0, 2)
-        r12 = embed_two(r_pm, dims3, 0, 1)
-        for u in probes[:1]:
-            dr = monodromy_dense(u, params) @ monodromy_dense(u, params, hatted=True)
-            dr2 = embed_two(dr, dims3, 1, 2)
-            lhs = r12 @ t1
-            res = _rel(lhs @ dr2 - dr2 @ lhs, lhs @ dr2)
-            details[f"exchange {sign} u={u}"] = res
-            exch_res = max(exch_res, res)
+        u = probes[0]
+        res = _exchange_residual(params, r_pm, blocks, u, y)
+        details[f"exchange {sign} u={u}"] = res
+        exch_res = max(exch_res, res)
 
         m1 = np.kron(m, np.eye(d, dtype=complex))
         pt_inv = partial_transpose(np.linalg.inv(r_pm), d, 2)

@@ -60,10 +60,25 @@ def _site_tensors(u, params: ModelParams, *hatted: bool):
     """Per-site R tensors for the monodromy sweeps, one list per flag in ``hatted``.
 
     Plain sites carry R(u/theta_j) acting on (aux, site_j); hatted sites
-    carry R(u theta_j) acting on (site_j, aux).
+    carry R(u theta_j) acting on (site_j, aux).  A scalar ``u`` gives
+    (d, d, d, d) tensors; an array of points gives u.shape + (d, d, d, d),
+    all from one ``r_matrix`` call.
     """
-    return [[_r_tensor(u * th if h else u / th, params) for th in params.thetas]
-            for h in hatted]
+    if np.ndim(u) == 0:
+        u = complex(u)
+        return [[_r_tensor(u * th if h else u / th, params) for th in params.thetas]
+                for h in hatted]
+    u = np.asarray(u, dtype=complex)
+    args = [[u * th if h else u / th for th in params.thetas] for h in hatted]
+    d = params.site_dim
+    r = r_matrix(args, params).reshape(np.shape(args) + (d,) * 4)
+    return [list(row) for row in r]
+
+
+def _site_axes(t, *perm):
+    """Permute the last four (site tensor) axes of ``t``; batch axes stay."""
+    lead = t.ndim - 4
+    return t.transpose(*range(lead), *(lead + p for p in perm))
 
 
 def _sweep_blocks(tensors, d: int, hatted: bool) -> np.ndarray:
@@ -129,32 +144,36 @@ def open_monodromy_apply(u, params: ModelParams, state, dual=False, absolute=Fal
     """Apply the double-row monodromy T(u) T^(u) to ``state`` without forming it.
 
     ``state`` has shape (..., d, d, ..., d): optional batch axes, the aux
-    index, then one index per site.  The ket form returns [T T^] state, the
-    hatted chain swept site N -> 1 and then the plain chain site 1 -> N; the
-    dual form returns the row vector state [T T^].  B(u) maps aux d-1 to 0
-    (ket), C(u) aux d-1 to 0 (dual).  With ``absolute`` the sweep runs on
-    |R| and |state|, which bounds |result| entrywise free of cancellation.
+    index, then one index per site.  ``u`` is one point or an array of
+    points that broadcasts against the batch axes, one point per row.  The
+    ket form returns [T T^] state, the hatted chain swept site N -> 1 and
+    then the plain chain site 1 -> N; the dual form returns the row vector
+    state [T T^].  B(u) maps aux d-1 to 0 (ket), C(u) aux d-1 to 0 (dual).
+    With ``absolute`` the sweep runs on |R| and |state|, which bounds
+    |result| entrywise free of cancellation.
     """
-    plain, hat = _site_tensors(complex(u), params, False, True)
-    hat = [t.transpose(1, 0, 3, 2) for t in hat]  # to [a_out, s_out, a_in, s_in]
+    plain, hat = _site_tensors(u, params, False, True)
+    hat = [_site_axes(t, 1, 0, 3, 2) for t in hat]  # to [a_out, s_out, a_in, s_in]
     back, front = (plain, hat) if dual else (hat, plain)
     if dual:
-        back, front = ([t.transpose(2, 3, 0, 1) for t in ts] for ts in (back, front))
+        back, front = ([_site_axes(t, 2, 3, 0, 1) for t in ts] for ts in (back, front))
     d, n = params.site_dim, params.n_sites
     x = np.abs(state) if absolute else np.asarray(state)
     lead = x.shape[: x.ndim - n - 1]
-    x = x.reshape(-1, d, d**n).transpose(0, 2, 1)
-    b = len(x)
+    x = x.reshape(lead + (d, d**n)).swapaxes(-2, -1)
     # Sites N -> 1 with the chain axes rotating: the site to contract sits
-    # just before the aux axis, and its output moves to the front.
+    # just before the aux axis, and its output moves to the front.  Each
+    # kernel has shape u.shape + (d^2, d^2), so @ broadcasts it over the rows.
     for t in reversed(back):
-        k = (np.abs(t) if absolute else t).transpose(3, 2, 1, 0).reshape(d * d, d * d)
-        x = (x.reshape(b, -1, d * d) @ k).reshape(b, -1, d, d).transpose(0, 2, 1, 3)
-    x = x.reshape(b, -1, d).transpose(0, 2, 1)
+        t = np.abs(t) if absolute else t
+        k = _site_axes(t, 3, 2, 1, 0).reshape(t.shape[:-4] + (d * d, d * d))
+        x = (x.reshape(lead + (-1, d * d)) @ k).reshape(lead + (-1, d, d)).swapaxes(-3, -2)
+    x = x.reshape(lead + (-1, d)).swapaxes(-2, -1)
     # Sites 1 -> N: the site to contract follows the aux axis, output to the end.
     for t in front:
-        k = (np.abs(t) if absolute else t).reshape(d * d, d * d)
-        x = (k @ x.reshape(b, d * d, -1)).reshape(b, d, d, -1).transpose(0, 1, 3, 2)
+        t = np.abs(t) if absolute else t
+        k = t.reshape(t.shape[:-4] + (d * d, d * d))
+        x = (k @ x.reshape(lead + (d * d, -1))).reshape(lead + (d, d, -1)).swapaxes(-2, -1)
     return x.reshape(lead + (d,) * (n + 1))
 
 
@@ -162,13 +181,17 @@ def open_transfer_apply(u, params: ModelParams, vec, dual=False) -> np.ndarray:
     """t(u) vec, or the row vector vec t(u) when ``dual``, without forming t(u).
 
     ``vec`` has shape (..., D): any batch axes, then the chain vectors, and
-    the result has the same shape.  One sweep covers the whole batch and the
-    diagonal aux entries, which are weighted by diag(M).
+    the result has the same shape.  ``u`` is one point or an array of points
+    that broadcasts against the batch axes, one point per vector.  One sweep
+    covers the whole batch and the diagonal aux entries, which are weighted
+    by diag(M).
     """
     d = params.site_dim
     vec = np.asarray(vec)
     lead = vec.shape[:-1]
     x = np.einsum("ij,...k->...ijk", np.eye(d), vec)
+    # the row index j of the aux identity is one more batch axis
+    u = np.asarray(u)[..., None] if np.ndim(u) else u
     y = open_monodromy_apply(u, params, x.reshape(lead + (d,) * (params.n_sites + 2)), dual)
     m_diag = np.diag(crossing_pair(params)[1])
     return np.einsum("j,...jjk->...k", m_diag, y.reshape(lead + (d, d, -1)))

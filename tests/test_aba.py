@@ -10,11 +10,12 @@ from tllab.aba import (
     contract_scalar_product,
     norm_squared,
     offshell_residual,
+    offshell_residuals,
     reference_state,
     scalar_product,
 )
 from tllab.bethe import eval_lambda
-from tllab.core import ModelParams
+from tllab.core import DomainError, ModelParams
 from tllab.solver import refine, solve_sector_open
 from tllab.transfer import (
     monodromy_dense,
@@ -146,6 +147,40 @@ def test_offshell_expansion_dual_vector():
         complex(draws[0]), tuple(draws[1:]), params, dual=True
     )
     assert rep.residual < 1e-8
+
+
+@pytest.mark.parametrize("n_sites, spin, m", [(2, "1/2", 3), (3, "1", 2), (4, "1/2", 3)])
+@pytest.mark.parametrize("dual", [False, True])
+def test_batched_offshell_rows_match_one_row_calls(n_sites, spin, m, dual):
+    # (2, 1/2, 3): strings longer than the chain vanish, and must be flagged
+    rng = np.random.default_rng(57)
+    params = ModelParams.create(n_sites, spin)
+    draws = np.array([_draw_values(rng, m + 1) for _ in range(6)])
+    batch = offshell_residuals(draws[:, 0], draws[:, 1:], params, dual)
+    for i, row in enumerate(draws):
+        one = offshell_residual(row[0], row[1:], params, dual)
+        assert bool(batch.vanished[i]) == one.vanished
+        assert abs(batch.residual[i] - one.residual) <= 1e-12
+        assert abs(batch.eigenvalue[i] - one.eigenvalue) <= 1e-12 * abs(one.eigenvalue)
+        coeffs = np.array(one.coefficients)
+        assert np.max(np.abs(batch.coefficients[i] - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+    assert batch.vanished.all() == (m > n_sites)
+
+
+def test_batched_offshell_raises_on_a_pole_row():
+    params = ModelParams.create(3, "1/2")
+    values = np.array([[1.1 + 0.2j, 0.8 - 0.3j]] * 3)
+    points = np.array([0.9 + 0.4j, 1.2 - 0.1j, 0.7 + 0.5j])
+    # omega(u/u_k) = 0: the point of row 1 equals its second value
+    at_value = points.copy()
+    at_value[1] = values[1, 1]
+    with pytest.raises(DomainError, match="row 1"):
+        offshell_residuals(at_value, values, params)
+    # omega(u_k^2 q) = 0: a pole of lambda_k alone, not of Lambda
+    at_weight = values.copy()
+    at_weight[2, 0] = 1.0 / np.sqrt(params.q)
+    with pytest.raises(DomainError, match="row 2"):
+        offshell_residuals(points, at_weight, params)
 
 
 def test_highest_weight_on_shell():

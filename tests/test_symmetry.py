@@ -1,6 +1,12 @@
 """Commutant generators, symmetry residuals, and degeneracy measurement."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
+import pytest
+
+from tllab import symmetry, transfer
 
 from tllab.core import ModelParams
 from tllab.solver import refine
@@ -14,12 +20,48 @@ from tllab.transfer import open_transfer
 
 
 def test_symmetry_report_residuals_are_tiny():
-    for n_sites, spin in ((2, "1/2"), (3, "1/2"), (2, "1"), (2, "3/2")):
+    for n_sites, spin in ((2, "1/2"), (3, "1/2"), (2, "1"), (2, "3/2"), (3, "3/2")):
         params = ModelParams.create(n_sites, spin)
         report = check_symmetry(params)
         assert report.commutator_residual < 1e-9, (n_sites, spin)
         assert report.exchange_residual < 1e-9, (n_sites, spin)
         assert report.inversion_residual < 1e-9, (n_sites, spin)
+
+
+@pytest.mark.parametrize("mutation", ["R+ with T-", "two points"])
+@pytest.mark.parametrize("n_sites, spin", [(2, "1/2"), (3, "3/2")])
+def test_exchange_check_detects_a_broken_relation(monkeypatch, n_sites, spin, mutation):
+    # the random-column exchange check must fail when its two sides no
+    # longer belong together
+    params = ModelParams.create(n_sites, spin)
+    if mutation == "R+ with T-":
+        blocks = symmetry.generator_blocks
+        flip = {"+": "-", "-": "+"}
+        monkeypatch.setattr(symmetry, "generator_blocks", lambda p, sign: blocks(p, flip[sign]))
+    else:
+        apply = symmetry.open_monodromy_apply
+        calls = itertools.count()
+
+        def shifted(u, *args, **kwargs):  # every second sweep at 1.1 u
+            return apply(u * (1.1 if next(calls) % 2 else 1.0), *args, **kwargs)
+
+        monkeypatch.setattr(symmetry, "open_monodromy_apply", shifted)
+    assert check_symmetry(params).exchange_residual > 1e-6
+
+
+def test_check_symmetry_stays_small():
+    # no dense aux (x) aux (x) chain product and no cached dense t(u): at
+    # N=3, s=3/2 the largest operator is a 64 x 64 generator block
+    params = ModelParams.create(3, "3/2")
+    transfer._transfer_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        check_symmetry(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert transfer._transfer_cached.cache_info().currsize == 0
 
 
 def test_generator_blocks_commute_with_transfer():

@@ -10,6 +10,7 @@ from tllab.symmetry import generator_blocks
 from tllab.transfer import (
     closed_transfer,
     hamiltonian_from_transfer,
+    open_monodromy_apply,
     open_transfer,
     open_transfer_apply,
     random_thetas,
@@ -41,6 +42,34 @@ def test_batched_transfer_apply_matches_dense(n_sites, spin):
     for dual, want in ((False, vecs @ t.T), (True, vecs @ t)):
         got = open_transfer_apply(u, params, vecs, dual)
         assert got.shape == vecs.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dual
+
+
+@pytest.mark.parametrize("weights", ["homogeneous", "random"])
+@pytest.mark.parametrize("n_sites, spin", [(3, "1"), (4, "1/2")])
+def test_per_row_points_match_scalar_calls(n_sites, spin, weights):
+    # one point per row gives, row by row, the one-point sweep of that row
+    rng = np.random.default_rng(35)
+    params = ModelParams.create(n_sites, spin)
+    if weights == "random":
+        params = ModelParams.create(n_sites, spin, thetas=random_thetas(n_sites, rng, params.q))
+    d = params.site_dim
+    rows = 5
+    u = np.exp(rng.uniform(-0.3, 0.3, rows) + 1j * rng.uniform(0.0, 2.0 * np.pi, rows))
+    shape = (rows,) + (d,) * (n_sites + 1)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for dual in (False, True):
+        for absolute in (False, True):
+            got = open_monodromy_apply(u, params, state, dual, absolute)
+            want = np.stack(
+                [open_monodromy_apply(u[i], params, state[i], dual, absolute) for i in range(rows)]
+            )
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dual, absolute)
+    # per-row points broadcast over further batch axes of open_transfer_apply
+    vecs = state.reshape(rows, d, -1)
+    for dual in (False, True):
+        got = open_transfer_apply(u[:, None], params, vecs, dual)
+        want = np.stack([open_transfer_apply(u[i], params, vecs[i], dual) for i in range(rows)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dual
 
 
