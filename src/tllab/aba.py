@@ -18,7 +18,7 @@ import numpy as np
 from .core import POLE_TOL, DomainError, ModelParams, omega
 from .transfer import open_monodromy_apply, open_transfer_apply
 from .bethe import _lambda_terms, bethe_sides, lambda_partial
-from .symmetry import generator_blocks
+from .symmetry import generator_apply
 
 __all__ = [
     "BetheVector",
@@ -35,6 +35,10 @@ __all__ = [
     "contract_scalar_product",
     "contract_norm_squared",
 ]
+
+#: A Bethe string has vanished when its largest entry is at most VANISHED_TOL
+#: times the cancellation-free bound of the same string (``bethe_vector``).
+VANISHED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,9 @@ def bethe_vector(values, params: ModelParams, dual: bool = False) -> BetheVector
     """B(u_1)...B(u_M)|0> or the dual <0|C(u_1)...C(u_M).
 
     ``vanished`` flags a string that is zero up to roundoff: its largest
-    entry is at most 1e-12 times the largest entry of the same string swept
-    with |R| on the reference state, which bounds every entry of the string
-    without cancellation.
+    entry is at most VANISHED_TOL times the largest entry of the same
+    string swept with |R| on the reference state, which bounds every entry
+    of the string without cancellation.
     """
     values = tuple(complex(v) for v in values)
     vanished, partial = _bethe_strings(np.array(values, dtype=complex), params, dual)
@@ -99,7 +103,7 @@ def _bethe_strings(values, params: ModelParams, dual: bool):
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1], dtype=bool), partial
     bound = _b_string(values, params, dual, absolute=True)[-1]
-    vanished = np.max(np.abs(partial[-1]), axis=-1) <= 1e-12 * np.max(bound, axis=-1)
+    vanished = np.max(np.abs(partial[-1]), axis=-1) <= VANISHED_TOL * np.max(bound, axis=-1)
     return vanished, partial
 
 
@@ -207,31 +211,33 @@ class HighestWeightReport:
 def check_highest_weight(roots, params: ModelParams) -> HighestWeightReport:
     """On-shell states against the raising/weight structure of T^+.
 
-    Lower-triangular blocks must annihilate the state; diagonal blocks must
-    act as scalars h_i (measured by a Rayleigh quotient).
+    T^+ acts on the state psi through ``symmetry.generator_apply``, one
+    sweep of the constant R^+ site tensors, so no generator block is
+    formed.  Lower-triangular blocks T^+_{ij} (i > j) must annihilate
+    psi: the residual is the largest |T^+_{ij} psi| over those blocks,
+    divided by the largest entry of the same blocks swept with |R^+| on
+    |psi|, which bounds every entry without cancellation.  Diagonal blocks
+    must act as scalars h_i, measured by a Rayleigh quotient; their residual
+    is max |T^+_{ii} psi - h_i psi| / (max |psi| (1 + |h_i|)).
     """
     state = bethe_vector(roots, params).vector
     norm = float(np.max(np.abs(state)))
     if norm == 0.0:
         raise DomainError("Bethe vector vanished; no highest-weight check")
-    blocks = generator_blocks(params, "+")
-    d = params.site_dim
-    ann = 0.0
-    for i in range(d):
-        for j in range(i):
-            g = blocks[i, j]
-            scale = norm * (1.0 + float(np.max(np.abs(g))))
-            ann = max(ann, float(np.max(np.abs(g @ state))) / scale)
+    blocks = generator_apply(params, "+", state)
+    lower = np.tril_indices(params.site_dim, -1)
+    # the bound is 0 where no lower block reaches psi's weight (all of s=1/2)
+    bound = float(np.max(generator_apply(params, "+", state, absolute=True)[lower]))
+    ann = float(np.max(np.abs(blocks[lower]))) / bound if bound else 0.0
     weights = []
     eig = 0.0
     denom = complex(np.vdot(state, state))
-    for i in range(d):
-        g = blocks[i, i]
-        h = complex(np.vdot(state, g @ state)) / denom
+    for i in range(params.site_dim):
+        h = complex(np.vdot(state, blocks[i, i])) / denom
         weights.append(h)
         eig = max(
             eig,
-            float(np.max(np.abs(g @ state - h * state)))
+            float(np.max(np.abs(blocks[i, i] - h * state)))
             / (norm * (1.0 + abs(h))),
         )
     return HighestWeightReport(

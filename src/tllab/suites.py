@@ -8,6 +8,7 @@ test suite, so tolerances live here.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -52,6 +53,12 @@ IDENTITY_TOL = 1e-9
 STATE_TOL = 1e-8
 PRODUCT_TOL = 1e-6
 EXTRAPOLATION_TOL = 1e-4
+#: Relative step of the off-shell values v = u (1 + step) and u (1 + step/2)
+#: whose scalar products extrapolate linearly to the norm (v -> u).
+EXTRAPOLATION_STEP = 1e-4
+#: An off-shell configuration is drawn again while |omega| of some point or
+#: pair argument of the off-shell formulas falls below POLE_SCREEN.
+POLE_SCREEN = 1e-2
 
 _SPINS = ("1/2", "1", "3/2")
 
@@ -371,13 +378,20 @@ def suite_symmetry(rng: np.random.Generator, checks: list):
 
 def _admissible_config(values, probe, q) -> bool:
     """True when no point, and no pair of points, of the values and the
-    probe sits within 1e-2 of a pole family of the off-shell formulas."""
-    pts = np.array([*values, probe], dtype=complex)
-    a, b = pts[:, None], pts[None, :]
-    # every ordered pair i != j: a/b then covers both quotients of a pair
-    pairs = np.stack([a / b, a * b * q, a * b, a * b * q * q])[:, ~np.eye(len(pts), dtype=bool)]
-    args = np.concatenate([pts * pts * q, pts * pts * q * q, pairs.ravel()])
-    return not np.any(np.abs(omega(args)) < 1e-2)
+    probe sits within POLE_SCREEN of a pole family of the off-shell formulas."""
+    pts = [complex(p) for p in (*values, probe)]
+    q = complex(q)
+
+    def near(z):  # |omega(z)| below the screen
+        return abs(z - 1.0 / z) < POLE_SCREEN
+
+    for i, a in enumerate(pts):
+        if near(a * a * q) or near(a * a * q * q):
+            return False
+        for b in pts[i + 1 :]:
+            if near(a / b) or near(b / a) or near(a * b * q) or near(a * b) or near(a * b * q * q):
+                return False
+    return True
 
 
 def _draw_config(rng, m, q, max_tries=500):
@@ -417,21 +431,31 @@ def suite_offshell(rng: np.random.Generator, checks: list, n_configs: int = 50):
                 checks.append(CheckResult(label, worst, STATE_TOL))
 
 
-def _tabulated_open_solutions(spins=_SPINS):
-    """Refined solver solutions for every tabulated open line with roots."""
+@functools.cache
+def _refined_open_lines(n_sites: int) -> tuple:
+    """(line, refined solution) for every tabulated open N-site line with
+    roots.  The open Bethe equations do not involve the spin, so the roots
+    refined at s=1/2 serve every spin; cached for the process."""
     from .reference import open_table
     from .solver import refine
 
-    out = []
+    params = ModelParams.create(n_sites, "1/2")
+    return tuple(
+        (line, refine([p.value for p in line.roots], params, "open"))
+        for line in open_table(n_sites)
+        if line.m
+    )
+
+
+def _tabulated_open_solutions():
+    """(params, line, solution) for every tabulated open line with roots, at
+    N = 2, 3, 4 and every spin."""
     for n_sites in (2, 3, 4):
-        for spin in spins:
+        lines = _refined_open_lines(n_sites)
+        for spin in _SPINS:
             params = ModelParams.create(n_sites, spin)
-            for line in open_table(n_sites):
-                if line.m == 0:
-                    continue
-                sol = refine([p.value for p in line.roots], params, "open")
-                out.append((params, line, sol))
-    return out
+            for line, sol in lines:
+                yield params, line, sol
 
 
 def suite_highest_weight(rng: np.random.Generator, checks: list):
@@ -495,7 +519,7 @@ def suite_scalar_products(rng: np.random.Generator, checks: list):
                 PRODUCT_TOL,
             )
         )
-        eps = 1e-4
+        eps = EXTRAPOLATION_STEP
         near = scalar_product(
             sol.roots, tuple(r * (1.0 + eps) for r in sol.roots), params
         )

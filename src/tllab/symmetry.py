@@ -18,6 +18,7 @@ from .core import DomainError, ModelParams
 from .operators import crossing_pair, partial_transpose, r_asymptotic
 from .transfer import (
     TransferEval,
+    _plain_sweep,
     _sweep_blocks,
     open_monodromy_apply,
     open_transfer_apply,
@@ -30,6 +31,7 @@ __all__ = [
     "RANK_TOL",
     "SymmetryReport",
     "generator_blocks",
+    "generator_apply",
     "check_symmetry",
     "measure_degeneracy",
     "line_degeneracy",
@@ -57,6 +59,23 @@ def generator_blocks(params: ModelParams, sign: str) -> np.ndarray:
     d = params.site_dim
     tensors = [r_asymptotic(sign, params).reshape(d, d, d, d)] * params.n_sites
     return _sweep_blocks(tensors, d, hatted=False)
+
+
+def generator_apply(params: ModelParams, sign: str, vec, absolute: bool = False) -> np.ndarray:
+    """T^±_{ij} vec for every aux pair (i, j), shape (d, d, D), without the blocks.
+
+    One single-row sweep of the constant R^± site tensors carries the aux
+    input j as a batch axis.  With ``absolute`` the sweep runs on |R^±| and
+    |vec|, which bounds |result| entrywise free of cancellation.
+    """
+    d = params.site_dim
+    r = r_asymptotic(sign, params).reshape(d, d, d, d)
+    vec = np.asarray(vec)
+    if absolute:
+        r, vec = np.abs(r), np.abs(vec)
+    # x[j, i] = delta_ij vec: the sweep gives y[j, i] = T^±_{ij} vec
+    x = np.einsum("ji,k->jik", np.eye(d), vec)
+    return _plain_sweep([r] * params.n_sites, x).swapaxes(0, 1)
 
 
 def _rel(delta: np.ndarray, scale: np.ndarray) -> float:

@@ -169,12 +169,25 @@ def open_monodromy_apply(u, params: ModelParams, state, dual=False, absolute=Fal
         k = _site_axes(t, 3, 2, 1, 0).reshape(t.shape[:-4] + (d * d, d * d))
         x = (x.reshape(lead + (-1, d * d)) @ k).reshape(lead + (-1, d, d)).swapaxes(-3, -2)
     x = x.reshape(lead + (-1, d)).swapaxes(-2, -1)
+    x = _plain_sweep([np.abs(t) for t in front] if absolute else front, x)
+    return x.reshape(lead + (d,) * (n + 1))
+
+
+def _plain_sweep(tensors, x) -> np.ndarray:
+    """Apply the single-row product R_N ... R_1 (site 1 first) to ``x``.
+
+    ``x`` has shape (..., d, D): optional batch axes, the aux index, then
+    the chain index with site 1 slowest.  Each site tensor is indexed
+    [a_out, s_out, a_in, s_in], with optional leading axes that broadcast
+    against the batch axes.  Returns the same shape as ``x``.
+    """
+    d = x.shape[-2]
+    lead = x.shape[:-2]
     # Sites 1 -> N: the site to contract follows the aux axis, output to the end.
-    for t in front:
-        t = np.abs(t) if absolute else t
+    for t in tensors:
         k = t.reshape(t.shape[:-4] + (d * d, d * d))
         x = (k @ x.reshape(lead + (d * d, -1))).reshape(lead + (d, d, -1)).swapaxes(-2, -1)
-    return x.reshape(lead + (d,) * (n + 1))
+    return x.reshape(lead + (d, -1))
 
 
 def open_transfer_apply(u, params: ModelParams, vec, dual=False) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Algebraic construction of eigenstates and determinant product formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tllab import aba, symmetry
 from tllab.aba import (
+    BetheVector,
     bethe_vector,
     check_highest_weight,
     contract_norm_squared,
@@ -16,7 +20,7 @@ from tllab.aba import (
 )
 from tllab.bethe import eval_lambda
 from tllab.core import DomainError, ModelParams
-from tllab.solver import refine, solve_sector_open
+from tllab.solver import refine, solve_all_open, solve_sector_open
 from tllab.transfer import (
     monodromy_dense,
     open_monodromy_apply,
@@ -183,10 +187,51 @@ def test_batched_offshell_raises_on_a_pole_row():
         offshell_residuals(points, at_weight, params)
 
 
-def test_highest_weight_on_shell():
-    params = ModelParams.create(2, "1/2")
-    sol = refine([ROOT_N2], params, "open")
-    rep = check_highest_weight(sol.roots, params)
+def test_highest_weight_on_shell(monkeypatch):
+    # T^+ acts by a sweep: no dense generator block is built
+    def no_blocks(*args):
+        raise AssertionError("generator_blocks called")
+
+    monkeypatch.setattr(symmetry, "generator_blocks", no_blocks)
+    monkeypatch.setattr(aba, "generator_blocks", no_blocks, raising=False)
+    for n_sites, spin, roots in (
+        (2, "1/2", [ROOT_N2]),
+        (3, "1", [1.388730 + 0.267261j]),
+        (4, "3/2", [1.284009 + 0.592723j, 1.396897 + 0.220635j]),
+    ):
+        params = ModelParams.create(n_sites, spin)
+        sol = refine(roots, params, "open")
+        rep = check_highest_weight(sol.roots, params)
+        assert rep.annihilation_residual < 1e-10, (n_sites, spin)
+        assert rep.eigen_residual < 1e-10, (n_sites, spin)
+
+
+@pytest.mark.parametrize("spin", ["1", "3/2"])
+def test_annihilation_residual_flags_a_descendant(monkeypatch, spin):
+    # T^-_{10} psi is no highest-weight state: the lower blocks of T^+ do
+    # not annihilate it, and the cancellation-free scale must show that
+    params = ModelParams.create(3, spin)
+    sol = refine([1.388730 + 0.267261j], params, "open")
+    psi = bethe_vector(sol.roots, params).vector
+    descendant = symmetry.generator_blocks(params, "-")[1, 0] @ psi
+    monkeypatch.setattr(
+        aba, "bethe_vector", lambda roots, p: BetheVector(tuple(roots), descendant, False, False)
+    )
+    assert check_highest_weight(sol.roots, params).annihilation_residual > 1e-6
+
+
+def test_highest_weight_at_five_sites_spin_three_halves_stays_small():
+    # the dense T^+ blocks alone would take 268 MB here; the open Bethe
+    # equations do not involve the spin, so spin-1/2 roots serve
+    lines = solve_all_open(ModelParams.create(5, "1/2"))
+    params = ModelParams.create(5, "3/2")
+    tracemalloc.start()
+    try:
+        rep = check_highest_weight(lines[2][0].roots, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
     assert rep.annihilation_residual < 1e-10
     assert rep.eigen_residual < 1e-10
 

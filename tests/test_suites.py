@@ -1,9 +1,13 @@
-"""Identity-suite helpers: the off-shell configuration screen."""
+"""Identity-suite helpers: the off-shell configuration screen and the
+tabulated open lines."""
 
 import numpy as np
 import pytest
 
-from tllab.core import omega
+from tllab import solver, suites
+from tllab.cli import main
+from tllab.core import ModelParams, omega
+from tllab.reference import open_table
 from tllab.suites import _admissible_config
 
 
@@ -66,3 +70,38 @@ def test_admissible_config_matches_scalar_loop(q):
         assert _admissible_config(values, probe, q) == want, (values, probe)
         decisions.add(want)
     assert decisions == {False, True}
+
+
+def test_refined_roots_do_not_depend_on_the_spin():
+    # the open Bethe equations involve q and the weights only, so one
+    # refinement per line serves every spin
+    for n_sites in (2, 3, 4):
+        for line in open_table(n_sites):
+            if not line.m:
+                continue
+            guess = [p.value for p in line.roots]
+            roots = {
+                solver.refine(guess, ModelParams.create(n_sites, spin), "open").roots
+                for spin in ("1/2", "1", "3/2")
+            }
+            assert len(roots) == 1, (n_sites, line.m)
+
+
+def test_verify_refines_each_tabulated_line_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return refine(*args, **kwargs)
+
+    refine = solver.refine
+    monkeypatch.setattr(solver, "refine", counted)
+    suites._refined_open_lines.cache_clear()
+    try:
+        assert main(["verify", "--quick", "--json", "-"]) == 0
+    finally:
+        suites._refined_open_lines.cache_clear()
+    capsys.readouterr()
+    lines = sum(1 for n in (2, 3, 4) for line in open_table(n) if line.m)
+    assert lines == 8
+    assert len(calls) == lines

@@ -12,6 +12,7 @@ from tllab.core import ModelParams
 from tllab.solver import refine
 from tllab.symmetry import (
     check_symmetry,
+    generator_apply,
     generator_blocks,
     line_degeneracy,
     measure_degeneracy,
@@ -76,6 +77,21 @@ def test_generator_blocks_commute_with_transfer():
                 comm = gen @ t - t @ gen
                 denom = scale + np.max(np.abs(gen))
                 assert np.max(np.abs(comm)) / denom < 1e-11, (sign, i, j)
+
+
+@pytest.mark.parametrize("spin", ["1/2", "1", "3/2"])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_generator_apply_matches_dense_blocks(n_sites, spin):
+    params = ModelParams.create(n_sites, spin)
+    rng = np.random.default_rng(43)
+    dim = params.site_dim**n_sites
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for sign in ("+", "-"):
+        dense = np.einsum("ijab,b->ija", generator_blocks(params, sign), vec)
+        swept = generator_apply(params, sign, vec)
+        assert np.max(np.abs(swept - dense)) <= 1e-12 * np.max(np.abs(dense)), sign
+        bound = generator_apply(params, sign, vec, absolute=True)
+        assert np.all(np.abs(swept) <= bound * (1.0 + 1e-12)), sign
 
 
 def test_measure_degeneracy_on_synthetic_spectrum():
