@@ -6,7 +6,12 @@ entry) and annihilation operator C(u) (bottom-left).  Bethe vectors are
 B-strings on the reference state with every site in its first basis state.
 Neither the monodromy nor B, C or t(u) is formed as a matrix: each acts on
 a vector through the site sweep ``transfer.open_monodromy_apply``.
-All formulas below require homogeneous site weights.
+
+The paper states the determinant formulas for ``scalar_product`` and
+``norm_squared`` on the homogeneous chain.  Their site-weight forms here are
+extensions of those formulas, checked against the direct contractions
+``contract_scalar_product`` and ``contract_norm_squared``, not results of
+the paper.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .core import POLE_TOL, DomainError, ModelParams, omega
 from .transfer import open_monodromy_apply, open_transfer_apply
-from .bethe import _lambda_terms, bethe_sides, lambda_partial
+from .bethe import _lambda_terms, _vacuum, bethe_sides
 from .symmetry import generator_apply
 
 __all__ = [
@@ -29,7 +34,6 @@ __all__ = [
     "offshell_residuals",
     "HighestWeightReport",
     "check_highest_weight",
-    "gaudin_matrix",
     "scalar_product",
     "norm_squared",
     "contract_scalar_product",
@@ -97,8 +101,6 @@ def bethe_vector(values, params: ModelParams, dual: bool = False) -> BetheVector
 def _bethe_strings(values, params: ModelParams, dual: bool):
     """The ``vanished`` flags and the partial strings of ``_b_string`` for
     strings ``values`` of shape (..., M); the flags have shape (...)."""
-    if not params.homogeneous:
-        raise DomainError("Bethe vectors are defined for homogeneous weights")
     partial = _b_string(values, params, dual)
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1], dtype=bool), partial
@@ -209,26 +211,35 @@ class HighestWeightReport:
 
 
 def check_highest_weight(roots, params: ModelParams) -> HighestWeightReport:
-    """On-shell states against the raising/weight structure of T^+.
+    """On-shell states against the raising/weight structure of T^+ and T^-.
 
-    T^+ acts on the state psi through ``symmetry.generator_apply``, one
-    sweep of the constant R^+ site tensors, so no generator block is
-    formed.  Lower-triangular blocks T^+_{ij} (i > j) must annihilate
-    psi: the residual is the largest |T^+_{ij} psi| over those blocks,
-    divided by the largest entry of the same blocks swept with |R^+| on
-    |psi|, which bounds every entry without cancellation.  Diagonal blocks
-    must act as scalars h_i, measured by a Rayleigh quotient; their residual
-    is max |T^+_{ii} psi - h_i psi| / (max |psi| (1 + |h_i|)).
+    T^± act on the state psi through ``symmetry.generator_apply``, one
+    sweep of the constant R^± site tensors, so no generator block is
+    formed.  The lower-triangular blocks T^±_{ij} (i > j) of both must
+    annihilate psi: for each sign the residual is the largest
+    |T^±_{ij} psi| over those blocks, divided by the largest entry of the
+    same blocks swept with |R^±| on |psi|, which bounds every entry without
+    cancellation, and the report keeps the worse sign.  At s=1/2, where
+    R^± are triangular in the aux space, the lower block of one sign is
+    identically zero (T^+ on the default branch Q = -1/q of |q| < 1, T^-
+    at |q| > 1): its bound is 0, it adds nothing, and the other sign carries
+    the condition.  Diagonal blocks of T^+ must act as scalars h_i,
+    measured by a Rayleigh quotient; their residual is
+    max |T^+_{ii} psi - h_i psi| / (max |psi| (1 + |h_i|)).
     """
     state = bethe_vector(roots, params).vector
     norm = float(np.max(np.abs(state)))
     if norm == 0.0:
         raise DomainError("Bethe vector vanished; no highest-weight check")
-    blocks = generator_apply(params, "+", state)
     lower = np.tril_indices(params.site_dim, -1)
-    # the bound is 0 where no lower block reaches psi's weight (all of s=1/2)
-    bound = float(np.max(generator_apply(params, "+", state, absolute=True)[lower]))
-    ann = float(np.max(np.abs(blocks[lower]))) / bound if bound else 0.0
+    ann = 0.0
+    for sign in "+-":
+        swept = generator_apply(params, sign, state)
+        bound = float(np.max(generator_apply(params, sign, state, absolute=True)[lower]))
+        if bound:
+            ann = max(ann, float(np.max(np.abs(swept[lower]))) / bound)
+        if sign == "+":
+            blocks = swept
     weights = []
     eig = 0.0
     denom = complex(np.vdot(state, state))
@@ -245,80 +256,46 @@ def check_highest_weight(roots, params: ModelParams) -> HighestWeightReport:
     )
 
 
-def gaudin_matrix(roots, params: ModelParams) -> np.ndarray:
-    """The matrix G whose determinant gives the squared norm."""
-    roots = tuple(complex(r) for r in roots)
-    q = params.q
-    n = params.n_sites
-    m = len(roots)
-    g = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        ui = roots[i]
-        s_i = -2.0 * n * omega(q) / (omega(ui) * omega(ui * q))
-        acc = 0.0 + 0.0j
-        for k in range(m):
-            if k == i:
-                continue
-            uk = roots[k]
-            acc += 1.0 / (omega(ui / (q * uk)) * omega(ui * q / uk))
-            acc += 1.0 / (omega(ui * uk) * omega(ui * uk * q * q))
-        s_i += omega(q * q) * acc
-        for j in range(m):
-            uj = roots[j]
-            pref = 1.0 + 0.0j
-            for k in range(m):
-                if k == i or k == j:
-                    continue
-                uk = roots[k]
-                pref *= omega(uj / uk * q) * omega(uj * uk * q * q)
-            pref /= omega(uj / (ui * q)) * omega(ui * uj)
-            if i == j:
-                bracket = (
-                    omega(q)
-                    * omega(ui * ui)
-                    / (omega(q * q) * omega(ui * ui * q) ** 2)
-                ) * s_i
-            else:
-                bracket = 1.0 + 0.0j
-            g[i, j] = pref * bracket
-    return g
+def _lower_pairs(u):
+    """(u_i, u_j) over the pairs j < i of the values u, as two flat arrays."""
+    i, j = np.tril_indices(u.size, -1)
+    return u[i], u[j]
 
 
 def scalar_product(on_roots, off_values, params: ModelParams) -> complex:
     """Determinant formula for <on-shell roots | off-shell values>.
 
     <u|v> = (1/(2 Q^(2s)))^M
-            prod_i omega(u_i)^(2N) u_i omega(u_i^2)
+            prod_i pb(u_i) u_i omega(u_i^2)
                    / (omega(u_i^2 q) omega(v_i^2 q^2))
             prod_(j<i) omega(u_i u_j q^2)/omega(u_i u_j)
-            Det[d Lambda(v_j; u)/d u_i] / Det[1/(omega(v_i/u_j) omega(v_i u_j q))].
+            Det[d Lambda(v_j; u)/d u_i] / Det[1/(omega(v_i/u_j) omega(v_i u_j q))],
+
+    with pb(u) = prod_n omega(u/th_n) omega(u th_n) the vacuum product of
+    ``bethe._vacuum``.  On the homogeneous chain pb(u) = omega(u)^(2N), the
+    paper's formula; with site weights this is an extension of it, checked
+    against ``contract_scalar_product``.
     """
-    u = tuple(complex(r) for r in on_roots)
-    v = tuple(complex(r) for r in off_values)
-    if len(u) != len(v):
+    u = np.asarray(on_roots, dtype=complex).reshape(-1)
+    v = np.asarray(off_values, dtype=complex).reshape(-1)
+    if u.size != v.size:
         raise DomainError("scalar product needs equally many roots and values")
-    m = len(u)
     q = params.q
-    two_n = 2 * params.n_sites
-    pref = (0.5 / params.big_q**params.twice_spin) ** m
-    for i in range(m):
-        pref *= (
-            omega(u[i]) ** two_n
-            * u[i]
-            * omega(u[i] * u[i])
-            / (omega(u[i] * u[i] * q) * omega(v[i] * v[i] * q * q))
-        )
-        for j in range(i):
-            pref *= omega(u[i] * u[j] * q * q) / omega(u[i] * u[j])
-    if m == 0:
-        return complex(pref)
-    slavnov = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        slavnov[:, j] = lambda_partial(v[j], u, params, kind="open")
-    cauchy = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            cauchy[i, j] = 1.0 / (omega(v[i] / u[j]) * omega(v[i] * u[j] * q))
+    _, pb, _, _ = _vacuum(u, params, "open")
+    ui, uj = _lower_pairs(u)
+    pref = (
+        (0.5 / params.big_q**params.twice_spin) ** u.size
+        * np.prod(pb * u * omega(u * u) / (omega(u * u * q) * omega(v * v * q * q)))
+        * np.prod(omega(ui * uj * q * q) / omega(ui * uj))
+    )
+    (term_a, term_d), (dlog_a, dlog_d), ok = _lambda_terms(
+        v[None], u[None], params, "open", grad=True
+    )
+    if not ok.all():
+        raise DomainError(f"Lambda has a pole at v = {v[~ok[0]][0]}")
+    # slavnov[j, i] = d Lambda(v_j; u)/d u_i, the transpose of the formula's matrix
+    slavnov = term_a[0, :, None] * dlog_a[0] + term_d[0, :, None] * dlog_d[0]
+    cauchy = 1.0 / (omega(v[:, None] / u) * omega(v[:, None] * u * q))
     return complex(pref * np.linalg.det(slavnov) / np.linalg.det(cauchy))
 
 
@@ -326,28 +303,37 @@ def norm_squared(roots, params: ModelParams) -> complex:
     """Determinant formula for <u|u> (bilinear pairing, not a modulus).
 
     <u|u> = (omega(q) omega(-q^2)/Q^(2s))^M
-            prod_i omega(u_i)^(4N) omega(u_i^2)^2
+            prod_i pb(u_i)^2 omega(u_i^2)^2
             prod_(j<i) omega(u_i u_j q^2)
                        / (omega(u_j/u_i) omega(u_i/u_j)
                           omega(u_i u_j) omega(u_i u_j q)^2)
-            Det(G).
+            Det(G),
+
+    G = diag(1/omega(u_i^2 q)) J diag(-u_j P_j / (2 omega(q^2) omega(u_j^2 q))),
+
+    with J_kj = d(A_k - B_k)/du_j / A_k = d log(A_k/B_k)/du_j on shell, the
+    Jacobian of the open Bethe equations from ``bethe.bethe_sides``,
+    P_j = prod_(k!=j) omega(u_j q/u_k) omega(u_j u_k q^2) = B_j/pb(u_j), and
+    pb as in ``scalar_product``.  On the homogeneous chain pb(u) =
+    omega(u)^(2N) and G is the paper's Gaudin matrix; with site weights this
+    is an extension of it, checked against ``contract_norm_squared``.
     """
-    u = tuple(complex(r) for r in roots)
-    m = len(u)
+    u = np.asarray(roots, dtype=complex).reshape(-1)
     q = params.q
-    pref = (omega(q) * omega(-q * q) / params.big_q**params.twice_spin) ** m
-    for i in range(m):
-        pref *= omega(u[i]) ** (4 * params.n_sites) * omega(u[i] * u[i]) ** 2
-        for j in range(i):
-            pref *= omega(u[i] * u[j] * q * q) / (
-                omega(u[j] / u[i])
-                * omega(u[i] / u[j])
-                * omega(u[i] * u[j])
-                * omega(u[i] * u[j] * q) ** 2
-            )
-    if m == 0:
-        return complex(pref)
-    return complex(pref * np.linalg.det(gaudin_matrix(u, params)))
+    a, b, jac = bethe_sides(u[None], params, "open", jac=True)
+    _, pb, _, _ = _vacuum(u, params, "open")
+    ui, uj = _lower_pairs(u)
+    pref = (
+        (omega(q) * omega(-q * q) / params.big_q**params.twice_spin) ** u.size
+        * np.prod((pb * omega(u * u)) ** 2)
+        * np.prod(
+            omega(ui * uj * q * q)
+            / (omega(uj / ui) * omega(ui / uj) * omega(ui * uj) * omega(ui * uj * q) ** 2)
+        )
+    )
+    # det G = det J prod_j [-u_j P_j / (2 omega(q^2) omega(u_j^2 q)^2)]
+    cols = -u * (b[0] / pb) / (2.0 * omega(q * q) * omega(u * u * q) ** 2)
+    return complex(pref * np.linalg.det(jac[0] / a[0][:, None]) * np.prod(cols))
 
 
 def contract_scalar_product(on_roots, off_values, params: ModelParams) -> complex:

@@ -34,7 +34,6 @@ __all__ = [
     "q_function",
     "eval_lambda",
     "pole_free_lambda",
-    "lambda_partial",
     "bethe_residuals",
     "energy",
     "twist_from_roots",
@@ -329,31 +328,6 @@ def eval_lambda(u, roots, params: ModelParams, kind: str, twist=None):
     if not ok[0, 0]:
         raise DomainError(f"Lambda has a pole at u = {u}")
     return complex(term_a[0, 0] + term_d[0, 0])
-
-
-def lambda_partial(v, roots, params: ModelParams, kind: str = "open", sector=None):
-    """Gradient of Lambda(v) with respect to each Bethe root (analytic).
-
-    For the closed chain the twist kappa is itself a function of the roots
-    (through the sector label), and that dependence is included.
-    """
-    twist = None
-    if kind == "closed":
-        if sector is None:
-            raise DomainError("closed-chain lambda_partial needs the sector label")
-        twist = [twist_from_roots(roots, sector, params)]
-    u = _one_tuple(roots)
-    (term_a, term_d), (dlog_a, dlog_d), ok = _lambda_terms(
-        np.array([[complex(v)]]), u, params, kind, twist, grad=True
-    )
-    if not ok[0, 0]:
-        raise DomainError(f"Lambda has a pole at v = {v}")
-    term_a, term_d = term_a[0, 0], term_d[0, 0]
-    grad = term_a * dlog_a[0, 0] + term_d * dlog_d[0, 0]
-    if kind == "closed":
-        u = u[0]
-        grad = grad + (term_a - term_d) * (_phi(u) - params.q * _phi(params.q * u))
-    return grad
 
 
 def bethe_residuals(

@@ -41,6 +41,16 @@ __all__ = [
 
 #: |omega(x)| below this counts as "at a pole" for guarded evaluations.
 POLE_TOL = 1e-8
+#: ``solve_deformation`` drops companion-matrix roots with |Q| at most
+#: ROOT_FLOOR, and fails when its pick misses the quantum-dimension relation
+#: by more than SOLVE_TOL relative (``deformation_residual``).
+ROOT_FLOOR = 1e-13
+SOLVE_TOL = 1e-10
+#: ``ModelParams`` rejects a big_q that misses the relation by more than
+#: DEFORMATION_TOL relative, and site weights with a ratio th_i/th_j within
+#: THETA_RATIO_SCREEN of q^k for k in {-2, -1, 1, 2}.
+DEFORMATION_TOL = 1e-12
+THETA_RATIO_SCREEN = 1e-9
 
 
 class DomainError(ValueError):
@@ -115,7 +125,7 @@ def solve_deformation(q: complex, twice_spin: int, branch="largest") -> complex:
     coeffs[::2] = 1.0
     coeffs[twice_spin] -= c
     roots = np.roots(coeffs)
-    roots = roots[np.abs(roots) > 1e-13]
+    roots = roots[np.abs(roots) > ROOT_FLOOR]
     order = sorted(range(len(roots)), key=lambda i: (-abs(roots[i]), np.angle(roots[i])))
     ordered = [complex(roots[i]) for i in order]
     if branch == "largest":
@@ -126,7 +136,7 @@ def solve_deformation(q: complex, twice_spin: int, branch="largest") -> complex:
         pick = ordered[branch]
     else:
         raise DomainError(f"unknown branch selector {branch!r}")
-    if deformation_residual(pick, q, twice_spin) > 1e-10:
+    if deformation_residual(pick, q, twice_spin) > SOLVE_TOL:
         raise SolverError("companion-matrix root fails the defining relation")
     return pick
 
@@ -162,7 +172,7 @@ class ModelParams:
 
     ``thetas`` are the per-site inhomogeneities; the homogeneous chain has all
     of them equal to 1.  ``big_q`` must satisfy the quantum-dimension relation
-    with ``q`` (checked at construction to 1e-12 relative).
+    with ``q`` (checked at construction to DEFORMATION_TOL relative).
     """
 
     n_sites: int
@@ -194,13 +204,13 @@ class ModelParams:
                         continue
                     r = ths[i] / ths[j]
                     for k in (-2, -1, 1, 2):
-                        if abs(r - self.q**k) < 1e-9:
+                        if abs(r - self.q**k) < THETA_RATIO_SCREEN:
                             raise DomainError(
-                                f"theta ratio {i},{j} within 1e-9 of q^{k}; "
+                                f"theta ratio {i},{j} within {THETA_RATIO_SCREEN:g} of q^{k}; "
                                 "functional-relation identities degenerate there"
                             )
             object.__setattr__(self, "thetas", ths)
-        if deformation_residual(self.big_q, self.q, self.twice_spin) > 1e-12:
+        if deformation_residual(self.big_q, self.q, self.twice_spin) > DEFORMATION_TOL:
             raise DomainError(
                 "big_q does not satisfy the quantum-dimension relation for this q, spin"
             )

@@ -143,15 +143,26 @@ def tl_projector(params: ModelParams) -> np.ndarray:
 
 def r_asymptotic(sign: str, params: ModelParams) -> np.ndarray:
     """The constant leading R-matrices: R+ = lim R(u)/u (u -> inf) = P (q + X),
-    and R- = lim (-u) R(u) (u -> 0) = P (1/q + X)."""
+    and R- = lim (-u) R(u) (u -> 0) = P (1/q + X).
+
+    At s=1/2 the diagonal of c Id + X (c = q or 1/q) holds c + 1/Q and c + Q
+    on |01> and |10>.  Their product c (Q + 1/Q + q + 1/q) vanishes by the
+    quantum-dimension relation, so one of them is exactly zero, and that zero
+    makes R^± triangular in the aux space.  Q carries roundoff, which would
+    leave about 1e-16 there, so the smaller of the two is set to 0.
+    """
     d = params.site_dim
-    p = permutation_matrix(d)
-    x = tl_generator(params)
+    eye = np.eye(d * d)
     if sign in ("+", "plus", 1):
-        return p @ (params.q * np.eye(d * d) + x)
-    if sign in ("-", "minus", -1):
-        return p @ (np.eye(d * d) / params.q + x)
-    raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+        shifted = params.q * eye + tl_generator(params)
+    elif sign in ("-", "minus", -1):
+        shifted = eye / params.q + tl_generator(params)
+    else:
+        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+    if params.twice_spin == 1:
+        k = 1 if abs(shifted[1, 1]) <= abs(shifted[2, 2]) else 2
+        shifted[k, k] = 0.0
+    return permutation_matrix(d) @ shifted
 
 
 def partial_transpose(op: np.ndarray, d: int, factor: int) -> np.ndarray:

@@ -148,13 +148,18 @@ def format_complex(z, digits: int = 6) -> str:
     return f"{re:.{digits}g}{sign}{abs(im):.{digits}g}i"
 
 
+#: ``format_phase`` labels z only when |z| is within PHASE_TOL of 1 and z
+#: within PHASE_TOL of exp(i pi p/r) for a fraction p/r with r <= 12.
+PHASE_TOL = 1e-6
+
+
 def format_phase(z):
     """Label a unit-modulus value with small rational phase, else None."""
     z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-6:
+    if abs(abs(z) - 1.0) > PHASE_TOL:
         return None
     frac = Fraction(cmath.phase(z) / math.pi).limit_denominator(12)
-    if abs(z - cmath.exp(1j * math.pi * float(frac))) > 1e-6:
+    if abs(z - cmath.exp(1j * math.pi * float(frac))) > PHASE_TOL:
         return None
     if frac == 0:
         return "1"

@@ -1,5 +1,6 @@
 """Algebraic construction of eigenstates and determinant product formulas."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,8 @@ from tllab.aba import (
     scalar_product,
 )
 from tllab.bethe import eval_lambda
-from tllab.core import DomainError, ModelParams
+from tllab.core import DomainError, ModelParams, omega
+from tllab.suites import STATE_TOL
 from tllab.solver import refine, solve_all_open, solve_sector_open
 from tllab.transfer import (
     monodromy_dense,
@@ -206,18 +208,41 @@ def test_highest_weight_on_shell(monkeypatch):
         assert rep.eigen_residual < 1e-10, (n_sites, spin)
 
 
-@pytest.mark.parametrize("spin", ["1", "3/2"])
+@pytest.mark.parametrize("spin", ["1/2", "1", "3/2"])
 def test_annihilation_residual_flags_a_descendant(monkeypatch, spin):
-    # T^-_{10} psi is no highest-weight state: the lower blocks of T^+ do
-    # not annihilate it, and the cancellation-free scale must show that
+    # a descendant of an M=1 line is no highest-weight state, and the
+    # cancellation-free scale must show that: T^-_{10} psi fails the lower
+    # blocks of T^+.  At s=1/2, q=0.5 the lower block of T^+ is identically
+    # zero, so only T^- flags the descendant, T^+_{01} psi there.
     params = ModelParams.create(3, spin)
     sol = refine([1.388730 + 0.267261j], params, "open")
     psi = bethe_vector(sol.roots, params).vector
-    descendant = symmetry.generator_blocks(params, "-")[1, 0] @ psi
+    sign, block = ("+", (0, 1)) if spin == "1/2" else ("-", (1, 0))
+    descendant = symmetry.generator_blocks(params, sign)[block] @ psi
     monkeypatch.setattr(
         aba, "bethe_vector", lambda roots, p: BetheVector(tuple(roots), descendant, False, False)
     )
     assert check_highest_weight(sol.roots, params).annihilation_residual > 1e-6
+
+
+def _on_shell_lines(n_sites, q=0.5, thetas=None):
+    """Every M >= 1 open line at s=1/2.  The open Bethe equations do not
+    involve the spin, so these roots serve every spin."""
+    lines = solve_all_open(ModelParams.create(n_sites, "1/2", q=q, thetas=thetas))
+    return [sol for m, sols in lines.items() if m for sol in sols]
+
+
+@pytest.mark.parametrize("spin", ["1/2", "1", "3/2"])
+@pytest.mark.parametrize("q", [0.3, 0.7, 1.5, 0.4 + 0.3j])
+def test_highest_weight_on_shell_beyond_q_half(q, spin):
+    # at s=1/2 one of T^+_{10}, T^-_{10} is identically zero; with R^± not
+    # exactly triangular its roundoff read 0.56-0.97 at q = 0.7, 0.4+0.3i
+    for n_sites in (3, 4):
+        params = ModelParams.create(n_sites, spin, q=q)
+        for sol in _on_shell_lines(n_sites, q):
+            rep = check_highest_weight(sol.roots, params)
+            assert rep.annihilation_residual <= STATE_TOL, (n_sites, sol.roots)
+            assert rep.eigen_residual <= STATE_TOL, (n_sites, sol.roots)
 
 
 def test_highest_weight_at_five_sites_spin_three_halves_stays_small():
@@ -308,3 +333,66 @@ def test_algebraic_states_beyond_q_half(q, spin):
                 (1.0 + abs(lam)) * np.max(np.abs(vec))
             )
             assert resid < 1e-9, (sol.roots, dual)
+
+
+THETA_DRAWS = (3, 8)
+INHOMOGENEOUS = [
+    (n_sites, spin)
+    for n_sites in (2, 3, 4, 5)
+    for spin in ("1/2", "1", "3/2")
+    if n_sites <= 4 or spin == "1/2"
+]
+
+
+@functools.cache
+def _inhomogeneous_lines(n_sites, draw):
+    thetas = random_thetas(n_sites, np.random.default_rng(draw), 0.5)
+    return thetas, _on_shell_lines(n_sites, thetas=thetas)
+
+
+def _off_shell_partner(sol, rng):
+    u = np.array(sol.roots)
+    return tuple(u * (1.0 + 0.1 * np.exp(2j * np.pi * rng.uniform(size=u.size))))
+
+
+@pytest.mark.parametrize("draw", THETA_DRAWS)
+@pytest.mark.parametrize("n_sites, spin", INHOMOGENEOUS)
+def test_algebraic_bethe_ansatz_on_inhomogeneous_chains(n_sites, spin, draw):
+    thetas, sols = _inhomogeneous_lines(n_sites, draw)
+    params = ModelParams.create(n_sites, spin, thetas=thetas)
+    rng = np.random.default_rng(draw)
+    for m in range(1, min(n_sites, 3) + 1):
+        points = np.array(_draw_values(rng, 4))
+        values = np.array([_draw_values(rng, m) for _ in range(4)])
+        for dual in (False, True):
+            rep = offshell_residuals(points, values, params, dual)
+            assert np.max(rep.residual) <= STATE_TOL, (m, dual)
+    for sol in sols:
+        hw = check_highest_weight(sol.roots, params)
+        assert hw.annihilation_residual <= STATE_TOL, sol.roots
+        assert hw.eigen_residual <= STATE_TOL, sol.roots
+        off = _off_shell_partner(sol, rng)
+        direct = contract_scalar_product(sol.roots, off, params)
+        assert abs(scalar_product(sol.roots, off, params) - direct) <= 1e-9 * abs(direct)
+        direct = contract_norm_squared(sol.roots, params)
+        assert abs(norm_squared(sol.roots, params) - direct) <= 1e-9 * abs(direct)
+
+
+@pytest.mark.parametrize("draw", THETA_DRAWS)
+def test_homogeneous_prefactor_misses_inhomogeneous_contraction(draw):
+    # negative control: the homogeneous prefactor omega(u_i)^(2N) in place of
+    # prod_n omega(u_i/th_n) omega(u_i th_n) misses the contraction by at
+    # least 9.6e-2 on these lines, so a formula that ignores the weights fails
+    rng = np.random.default_rng(draw)
+    for n_sites in (2, 3, 4, 5):
+        thetas, sols = _inhomogeneous_lines(n_sites, draw)
+        params = ModelParams.create(n_sites, "1/2", thetas=thetas)
+        for sol in sols:
+            u = np.array(sol.roots)
+            off = _off_shell_partner(sol, rng)
+            weights = np.prod([omega(u / th) * omega(u * th) for th in thetas], axis=0)
+            homogeneous = scalar_product(sol.roots, off, params) * np.prod(
+                omega(u) ** (2 * n_sites) / weights
+            )
+            direct = contract_scalar_product(sol.roots, off, params)
+            assert abs(homogeneous - direct) > 1e-2 * abs(direct), (n_sites, sol.roots)

@@ -6,10 +6,10 @@ import pytest
 
 from tllab.bethe import (
     BetheSolution,
+    _lambda_terms,
     bethe_residuals,
     energy,
     eval_lambda,
-    lambda_partial,
     newton_system,
     q_function,
     shift_eigenvalue,
@@ -92,22 +92,29 @@ def test_empty_root_set_has_zero_energy():
     assert energy((), params) == 0.0
 
 
-def test_lambda_partial_matches_finite_differences():
-    params = ModelParams.create(3, "1/2")
+def test_lambda_root_gradient_matches_finite_differences():
+    # the batched root gradient of Lambda that builds the Slavnov matrix of
+    # aba.scalar_product: d Lambda(v_j)/d u_i at every point in one call
+    rng = np.random.default_rng(12)
     roots = np.array([1.25 + 0.31j, 0.92 - 0.44j])
-    v = 1.13 + 0.27j
-    grad = lambda_partial(v, tuple(roots), params, "open")
+    points = np.array([1.13 + 0.27j, 0.81 - 0.52j, 1.4 + 0.9j])
     h = 1e-6
-    for k in range(2):
-        shifted_p = roots.copy()
-        shifted_m = roots.copy()
-        shifted_p[k] += h
-        shifted_m[k] -= h
-        fd = (
-            eval_lambda(v, tuple(shifted_p), params, "open")
-            - eval_lambda(v, tuple(shifted_m), params, "open")
-        ) / (2.0 * h)
-        assert abs(grad[k] - fd) < 1e-6 * (1.0 + abs(fd)), k
+    for weights in (None, random_thetas(3, rng, q=0.5)):
+        params = ModelParams.create(3, "1/2", thetas=weights)
+        (term_a, term_d), (dlog_a, dlog_d), ok = _lambda_terms(
+            points[None], roots[None], params, "open", grad=True
+        )
+        assert ok.all()
+        grad = term_a[0, :, None] * dlog_a[0] + term_d[0, :, None] * dlog_d[0]
+        for j, v in enumerate(points):
+            for k in range(2):
+                step = np.zeros(2)
+                step[k] = h
+                fd = (
+                    eval_lambda(v, tuple(roots + step), params, "open")
+                    - eval_lambda(v, tuple(roots - step), params, "open")
+                ) / (2.0 * h)
+                assert abs(grad[j, k] - fd) < 1e-6 * (1.0 + abs(fd)), (j, k)
 
 
 @pytest.mark.parametrize(
