@@ -16,12 +16,7 @@ from .core import (
     zeta,
 )
 from .operators import hamiltonian, r_matrix, tl_generator
-from .transfer import (
-    closed_transfer,
-    hamiltonian_from_transfer,
-    open_transfer,
-    transfer_matrix,
-)
+from .transfer import hamiltonian_from_transfer, transfer_matrix
 from .bethe import (
     BetheSolution,
     bethe_residuals,
@@ -37,14 +32,12 @@ from .solver import (
     solve_all_closed,
     solve_all_open,
     solve_sector_closed,
-    solve_sector_open,
 )
 from .symmetry import check_symmetry, line_degeneracy
 from .aba import (
     bethe_vector,
     check_highest_weight,
     norm_squared,
-    offshell_residual,
     scalar_product,
 )
 from .report import (
@@ -68,8 +61,6 @@ __all__ = [
     "tl_generator",
     "hamiltonian",
     "r_matrix",
-    "open_transfer",
-    "closed_transfer",
     "transfer_matrix",
     "hamiltonian_from_transfer",
     "BetheSolution",
@@ -78,7 +69,6 @@ __all__ = [
     "energy",
     "twist_from_roots",
     "SearchConfig",
-    "solve_sector_open",
     "solve_sector_closed",
     "solve_all_open",
     "solve_all_closed",
@@ -88,7 +78,6 @@ __all__ = [
     "check_symmetry",
     "line_degeneracy",
     "bethe_vector",
-    "offshell_residual",
     "check_highest_weight",
     "scalar_product",
     "norm_squared",

@@ -30,7 +30,6 @@ __all__ = [
     "reference_state",
     "bethe_vector",
     "OffshellReport",
-    "offshell_residual",
     "offshell_residuals",
     "HighestWeightReport",
     "check_highest_weight",
@@ -188,18 +187,6 @@ def offshell_residuals(points, values, params: ModelParams, dual: bool = False) 
     den = 1.0 + np.max(np.abs(lhs), axis=-1)
     return OffshellReport(
         residual=num / den, eigenvalue=lam, coefficients=coeffs, vanished=vanished
-    )
-
-
-def offshell_residual(u, values, params: ModelParams, dual: bool = False) -> OffshellReport:
-    """``offshell_residuals`` for one configuration: point u and values v."""
-    values = tuple(complex(v) for v in values)
-    rep = offshell_residuals([complex(u)], [values], params, dual)
-    return OffshellReport(
-        residual=float(rep.residual[0]),
-        eigenvalue=complex(rep.eigenvalue[0]),
-        coefficients=tuple(complex(c) for c in rep.coefficients[0]),
-        vanished=bool(rep.vanished[0]),
     )
 
 

@@ -53,8 +53,8 @@ class BetheSolution:
     ``sector`` is the momentum label l of the closed chain (None when open);
     ``twist`` is the closed-chain twist kappa fixed by the roots and l.
     ``degeneracy`` and ``ambiguous`` are the line's measured nullity and its
-    flag from ``symmetry.line_degeneracy``, set on every solution a sector
-    solver returns (None and False before the measurement).
+    flag from ``symmetry.measure_degeneracy``, set on every solution a
+    sector solver returns (None and False before the measurement).
     """
 
     kind: str

@@ -51,6 +51,8 @@ SOLVE_TOL = 1e-10
 #: THETA_RATIO_SCREEN of q^k for k in {-2, -1, 1, 2}.
 DEFORMATION_TOL = 1e-12
 THETA_RATIO_SCREEN = 1e-9
+#: ``parse_spin`` accepts a decimal spin within SPIN_PARSE_TOL of a half-integer.
+SPIN_PARSE_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -151,7 +153,7 @@ def parse_spin(text) -> int:
             frac = Fraction(s)
         except ValueError:
             frac = Fraction(str(float(s))).limit_denominator(2)
-            if abs(float(frac) - float(s)) > 1e-12:
+            if abs(float(frac) - float(s)) > SPIN_PARSE_TOL:
                 raise DomainError(f"spin {text!r} is not an integer or half-integer")
     twice = frac * 2
     if twice.denominator != 1 or twice <= 0:

@@ -132,11 +132,15 @@ class TableReport:
 # Formatting
 # ---------------------------------------------------------------------------
 
+#: ``format_complex`` prints "0" for any |z| below ZERO_FLOOR.
+ZERO_FLOOR = 1e-12
+
+
 def format_complex(z, digits: int = 6) -> str:
     """Render a complex number, dropping components invisible at ``digits``."""
     z = complex(z)
     scale = abs(z)
-    if scale < 1e-12:
+    if scale < ZERO_FLOOR:
         return "0"
     chop = 10.0 ** (-digits) * scale
     re, im = z.real, z.imag

@@ -1,12 +1,15 @@
 """Bethe roots of every spectral line, with sector censuses.
 
-Open chain, spectrum first: the open t(DEGENERACY_PROBE) is eigendecomposed
-once and each distinct eigenvalue is one line.  Lambda(v) of its eigenvector
-is sampled at 3N + 2 points through the matrix-free sweep
-``transfer.open_transfer_apply``, Baxter's TQ relation
-Lambda(v) Q(v) = a(v) Q(v/q) + d(v) Q(v q) is fitted by linear least squares
-for the smallest M, and the zeros of Q give the roots, which ``refine``
-polishes and canonicalizes.
+Open chain, spectrum first: the open t(DEGENERACY_PROBE) is the only dense
+transfer matrix built.  It is eigendecomposed once, each distinct
+eigenvalue lambda is one line, and the line's degeneracy is the nullity of
+t(DEGENERACY_PROBE) - lambda.  Lambda(v) of its eigenvector is sampled at
+3N + 2 points through the matrix-free sweep ``transfer.open_transfer_apply``,
+Baxter's TQ relation Lambda(v) Q(v) = a(v) Q(v/q) + d(v) Q(v q) is fitted
+by linear least squares for the smallest M, and the zeros of Q are the
+line's reported roots, polished by ``refine`` where Newton converges.  The
+roots are not a gate: the one check on them is that their
+Lambda(DEGENERACY_PROBE) reproduces lambda to LAMBDA_MATCH_TOL.
 
 Closed chain, multistart: seeds are drawn log-uniformly from an annulus and
 driven by a damped (backtracking) Newton iteration on the batched residual
@@ -15,10 +18,8 @@ seed batch.  The converged root tuples of a sector are then screened as one
 (b, m) batch: singularity guards, per-root canonicalization over the
 symmetry orbit of the equations, a residual check, and deduplication keyed
 on eigenvalue fingerprints, which are evaluated for all candidates in one
-call.
-
-On both chains every line is measured once by ``symmetry.line_degeneracy``:
-it is kept iff its eigenvalue really occurs in the transfer-matrix spectrum
+call.  Each candidate is measured by ``symmetry.line_degeneracy``: it is
+kept iff its eigenvalue really occurs in the transfer-matrix spectrum
 (nullity at least 1), and it carries that degeneracy and its ``ambiguous``
 flag.
 """
@@ -36,12 +37,18 @@ from .bethe import (
     BetheSolution,
     _amplitudes,
     bethe_sides,
+    eval_lambda,
     newton_system,
     pole_free_lambda,
     sector_phase,
     twist_from_roots,
 )
-from .symmetry import DEGENERACY_PROBE, generator_blocks, line_degeneracy
+from .symmetry import (
+    DEGENERACY_PROBE,
+    generator_blocks,
+    line_degeneracy,
+    measure_degeneracy,
+)
 from .transfer import open_transfer_apply, transfer_matrix
 
 __all__ = [
@@ -54,7 +61,6 @@ __all__ = [
     "fingerprint",
     "canonical_roots",
     "dedup_solutions",
-    "solve_sector_open",
     "solve_sector_closed",
     "solve_all_open",
     "solve_all_closed",
@@ -93,6 +99,11 @@ THETA_CONJ_TOL = 1e-12
 LINE_TOL = 1e-7
 #: Relative residual below which a degree-M polynomial fits the TQ relation.
 TQ_FIT_TOL = 1e-9
+#: Largest relative distance |Lambda(DEGENERACY_PROBE; roots) - lambda| / |lambda|
+#: at which an open line's reported roots still carry its eigenvalue lambda.
+#: The worst measured, over open N = 6..10 at s = 1/2 (q = 0.3, 0.5, 1.5) and
+#: N = 6 at s = 1, q = 0.3, is 6.8e-8 at N=10, q=0.5: a margin of 15.
+LAMBDA_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -475,20 +486,6 @@ def _conjugate_closure(solutions, params: ModelParams, sector: int):
     return dedup_solutions(list(solutions) + extra, params)
 
 
-def _measured(solutions, params: ModelParams):
-    """The candidate lines whose Lambda really is an eigenvalue, each with its
-    measured degeneracy; a candidate without a pole-free probe is dropped."""
-    kept = []
-    for sol in solutions:
-        try:
-            nullity, ambiguous = line_degeneracy(params, sol.kind, sol.roots, sol.twist)
-        except DomainError:
-            continue
-        if nullity >= 1:
-            kept.append(replace(sol, degeneracy=nullity, ambiguous=ambiguous))
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # open chain: the spectrum first, then Baxter's TQ relation
 
@@ -500,17 +497,17 @@ def _tq_points(n_sites: int) -> np.ndarray:
     return 0.7 + 0.2 * k + 0.9j * k / (3 * n_sites)
 
 
-def _line_vectors(params: ModelParams) -> np.ndarray:
-    """One right eigenvector of the open t(DEGENERACY_PROBE) per line, as
-    the rows of the result: eigenvalues closer than LINE_TOL times the
-    spectral radius are one line, represented by the first of them."""
-    eigs, vecs = np.linalg.eig(transfer_matrix(DEGENERACY_PROBE, params, "open").matrix)
+def _lines(t: np.ndarray):
+    """The open lines of t = t(DEGENERACY_PROBE): (eigenvalues, right
+    eigenvectors as rows), one per line.  Eigenvalues closer than LINE_TOL
+    times the spectral radius are one line, represented by the first."""
+    eigs, vecs = np.linalg.eig(t)
     tol = LINE_TOL * np.max(np.abs(eigs))
     first = []
     for i, lam in enumerate(eigs):
         if not first or np.min(np.abs(eigs[first] - lam)) >= tol:
             first.append(i)
-    return vecs[:, first].T
+    return eigs[first], vecs[:, first].T
 
 
 def _sampled_lambda(vectors, points, params: ModelParams) -> np.ndarray:
@@ -565,42 +562,49 @@ def _tq_roots(p, q) -> np.ndarray:
     return np.sqrt(w / q)
 
 
+def _open_line(p, params: ModelParams) -> BetheSolution:
+    """The roots of one TQ polynomial P: its zeros, polished by ``refine``
+    where Newton converges and else canonicalized as they are."""
+    roots = _tq_roots(p, params.q)
+    if not roots.size:
+        return BetheSolution(kind="open", roots=())
+    try:
+        return refine(roots, params, "open")
+    except DomainError:
+        return _solutions(_make_solution([roots], params, "open"), "open")[0]
+
+
 def solve_all_open(params: ModelParams):
     """Every open-chain line, as a dict M -> list of solutions.
 
-    Each distinct eigenvalue of t(DEGENERACY_PROBE) is one line.  Its
+    Each distinct eigenvalue lambda of t(DEGENERACY_PROBE) is one line, and
+    its degeneracy is the nullity of t(DEGENERACY_PROBE) - lambda.  Its
     Lambda(v), sampled matrix-free at _tq_points, fixes M and Q through the
-    TQ relation; ``refine`` polishes and canonicalizes the zeros of Q.  As
-    on the closed chain a line is kept iff its roots' eigenvalue has nullity
-    at least 1 (``_measured``).  A line that fits no M <= N/2, or whose
-    roots do not polish, is dropped, and the census then shows the gap.
+    TQ relation; the line reports the zeros of Q as its roots (see
+    _open_line).  A line is dropped when it fits no M <= N/2, or when its
+    roots' Lambda(DEGENERACY_PROBE) has a pole or misses lambda by more than
+    LAMBDA_MATCH_TOL relative; the census then shows the gap.
     """
+    t = transfer_matrix(DEGENERACY_PROBE, params, "open").matrix
+    eigs, vectors = _lines(t)
     points = _tq_points(params.n_sites)
-    lam = _sampled_lambda(_line_vectors(params), points, params)
-    cands = []
-    for p in _tq_polynomials(lam, points, params):
+    samples = _sampled_lambda(vectors, points, params)
+    lines = {m: [] for m in range(params.n_sites // 2 + 1)}
+    for lam, p in zip(eigs, _tq_polynomials(samples, points, params)):
         if p is None:
             continue
-        if len(p) == 1:
-            cands.append(BetheSolution(kind="open", roots=()))
-            continue
+        sol = _open_line(p, params)
         try:
-            cands.append(refine(_tq_roots(p, params.q), params, "open"))
+            value = eval_lambda(DEGENERACY_PROBE, sol.roots, params, "open")
         except DomainError:
             continue
-    lines = {m: [] for m in range(params.n_sites // 2 + 1)}
-    for sol in sorted(_measured(cands, params), key=_solution_key):
-        lines[sol.n_roots].append(sol)
+        if abs(value - lam) > LAMBDA_MATCH_TOL * abs(lam):
+            continue
+        nullity, ambiguous = measure_degeneracy(t, lam)
+        lines[sol.n_roots].append(replace(sol, degeneracy=nullity, ambiguous=ambiguous))
+    for sols in lines.values():
+        sols.sort(key=_solution_key)
     return lines
-
-
-def solve_sector_open(params: ModelParams, n_roots: int):
-    """The open-chain lines with M = n_roots: one slice of ``solve_all_open``."""
-    if not 0 <= 2 * n_roots <= params.n_sites:
-        raise DomainError(
-            f"M = {n_roots} is outside 0..N/2 = {params.n_sites / 2} for the open chain"
-        )
-    return solve_all_open(params)[n_roots]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +641,15 @@ def solve_sector_closed(
         cands = _candidates(raw, n_roots, params, sector)
         cands = dedup_solutions(cands, params)
         cands = _conjugate_closure(cands, params, sector)
-    return dedup_solutions(_measured(cands, params), params)
+    kept = []
+    for sol in cands:
+        try:
+            nullity, ambiguous = line_degeneracy(params, "closed", sol.roots, sol.twist)
+        except DomainError:  # no pole-free probe for this line's Lambda
+            continue
+        if nullity >= 1:
+            kept.append(replace(sol, degeneracy=nullity, ambiguous=ambiguous))
+    return dedup_solutions(kept, params)
 
 
 def _anchored_two_site(params: ModelParams, sector: int):

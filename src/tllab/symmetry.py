@@ -17,7 +17,6 @@ import scipy.linalg
 from .core import DomainError, ModelParams
 from .operators import crossing_pair, partial_transpose, r_asymptotic
 from .transfer import (
-    TransferEval,
     _plain_sweep,
     _sweep_blocks,
     open_monodromy_apply,
@@ -37,8 +36,9 @@ __all__ = [
     "line_degeneracy",
 ]
 
-#: Spectral point at which a line's degeneracy is measured (nudged off
-#: any pole of Lambda by ``bethe.pole_free_lambda``).
+#: Spectral point at which a line's degeneracy is measured (by
+#: ``line_degeneracy`` nudged off any pole of Lambda by
+#: ``bethe.pole_free_lambda``).
 DEGENERACY_PROBE = 0.93 + 0.41j
 #: QR pivots below RANK_TOL times the largest pivot count as zero.
 RANK_TOL = 1e-8
@@ -162,14 +162,13 @@ def check_symmetry(params: ModelParams, probes=(0.93 + 0.41j, 1.31 - 0.27j)):
     )
 
 
-def measure_degeneracy(t_eval, lam):
-    """Nullity of t(u0) - lambda Id via a column-pivoted QR factorization.
+def measure_degeneracy(mat: np.ndarray, lam):
+    """Nullity of mat - lambda Id via a column-pivoted QR factorization.
 
     Returns (nullity, ambiguous); ambiguous is set when some scaled pivot
     falls within a decade of the rank threshold RANK_TOL, meaning the count
     could move under a slightly different tolerance.
     """
-    mat = t_eval.matrix if isinstance(t_eval, TransferEval) else np.asarray(t_eval)
     n = mat.shape[0]
     shifted = mat - complex(lam) * np.eye(n, dtype=complex)
     r = scipy.linalg.qr(shifted, mode="r", pivoting=True)[0]
@@ -186,16 +185,14 @@ def measure_degeneracy(t_eval, lam):
 def line_degeneracy(params: ModelParams, kind: str, roots, twist=None):
     """Measured degeneracy of the eigenvalue carried by a set of Bethe roots.
 
-    This is the one place a line's degeneracy is measured: the sector
-    solvers keep a candidate line iff its nullity here is at least 1.  The
-    point DEGENERACY_PROBE is nudged deterministically off any pole of
-    Lambda; DomainError is raised when no pole-free place is found.
-    Returns (nullity, ambiguous).
+    The closed-chain sector solver keeps a candidate line iff its nullity
+    here is at least 1.  The point DEGENERACY_PROBE is nudged
+    deterministically off any pole of Lambda; DomainError is raised when no
+    pole-free place is found.  Returns (nullity, ambiguous).
     """
     p, lam, found = pole_free_lambda(
         (DEGENERACY_PROBE,), [roots], params, kind, None if twist is None else [twist]
     )
     if not found[0]:
         raise DomainError("no pole-free probe point found for Lambda")
-    te = transfer_matrix(p[0, 0], params, kind)
-    return measure_degeneracy(te, lam[0, 0])
+    return measure_degeneracy(transfer_matrix(p[0, 0], params, kind).matrix, lam[0, 0])

@@ -28,8 +28,6 @@ __all__ = [
     "monodromy_dense",
     "open_monodromy_apply",
     "open_transfer_apply",
-    "open_transfer",
-    "closed_transfer",
     "transfer_matrix",
     "hamiltonian_from_transfer",
     "random_thetas",
@@ -227,17 +225,9 @@ def _transfer_cached(params: ModelParams, u: complex, kind: str) -> np.ndarray:
     return mat
 
 
-def open_transfer(u, params: ModelParams) -> TransferEval:
-    """The open-chain (double-row) transfer matrix t(u)."""
-    return transfer_matrix(u, params, "open")
-
-
-def closed_transfer(u, params: ModelParams) -> TransferEval:
-    """The closed-chain transfer matrix t(u) = tr_aux T(u)."""
-    return transfer_matrix(u, params, "closed")
-
-
 def transfer_matrix(u, params: ModelParams, kind: str) -> TransferEval:
+    """The dense transfer matrix t(u): the double-row one of the open chain,
+    or tr_aux T(u) of the closed chain (memoized per point)."""
     u = complex(u)
     return TransferEval(params, u, kind, _transfer_cached(params, u, kind))
 
@@ -267,6 +257,11 @@ def hamiltonian_from_transfer(params: ModelParams, step: float = 1e-6) -> np.nda
     return alpha * deriv + beta * np.eye(dim, dtype=complex)
 
 
+#: ``random_thetas`` redraws while a ratio th_i/th_j is within THETA_DRAW_SCREEN
+#: of q^k, k in {-2, ..., 2}.
+THETA_DRAW_SCREEN = 1e-6
+
+
 def random_thetas(
     n_sites: int,
     rng: np.random.Generator,
@@ -277,9 +272,10 @@ def random_thetas(
     """Draw generic inhomogeneity weights.
 
     Moduli are log-uniform in ``modulus_range`` and phases uniform.  Draws
-    are rejected while any pairwise ratio theta_i/theta_j sits within 1e-6
-    of q^k for k in {-2,...,2} (k = 0 enforces distinctness), which keeps
-    every R-matrix argument and fusion point away from poles and zeros.
+    are rejected while any pairwise ratio theta_i/theta_j sits within
+    THETA_DRAW_SCREEN of q^k for k in {-2,...,2} (k = 0 enforces
+    distinctness), which keeps every R-matrix argument and fusion point away
+    from poles and zeros.
     """
     lo, hi = np.log(modulus_range[0]), np.log(modulus_range[1])
     powers = [complex(q) ** k for k in (-2, -1, 0, 1, 2)]
@@ -288,6 +284,6 @@ def random_thetas(
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_sites)
         thetas = mods * np.exp(1j * phases)
         ratios = (thetas[:, None] / thetas[None, :])[~np.eye(n_sites, dtype=bool)]
-        if np.all(np.abs(ratios[:, None] - np.array(powers)) >= 1e-6):
+        if np.all(np.abs(ratios[:, None] - np.array(powers)) >= THETA_DRAW_SCREEN):
             return tuple(complex(t) for t in thetas)
     raise RuntimeError("could not draw generic inhomogeneity weights")

@@ -14,7 +14,6 @@ from tllab.aba import (
     contract_norm_squared,
     contract_scalar_product,
     norm_squared,
-    offshell_residual,
     offshell_residuals,
     reference_state,
     scalar_product,
@@ -22,13 +21,13 @@ from tllab.aba import (
 from tllab.bethe import eval_lambda
 from tllab.core import DomainError, ModelParams, omega
 from tllab.suites import STATE_TOL
-from tllab.solver import refine, solve_all_open, solve_sector_open
+from tllab.solver import refine, solve_all_open
 from tllab.transfer import (
     monodromy_dense,
     open_monodromy_apply,
-    open_transfer,
     open_transfer_apply,
     random_thetas,
+    transfer_matrix,
 )
 
 ROOT_N2 = (3.0 + 1.0j) / np.sqrt(5.0)
@@ -39,7 +38,7 @@ def test_reference_state_is_transfer_eigenvector():
         params = ModelParams.create(3, spin)
         probe = 0.93 + 0.41j
         vac = reference_state(params)
-        t = open_transfer(probe, params).matrix
+        t = transfer_matrix(probe, params, "open").matrix
         lam = eval_lambda(probe, (), params, "open")
         resid = np.max(np.abs(t @ vac - lam * vac)) / (1.0 + abs(lam))
         assert resid < 1e-12, spin
@@ -82,7 +81,7 @@ def test_matrix_free_double_row_matches_dense_blocks(n_sites, spin):
         state[(d - 1) * dim :] = vec
         assert_close(sweep(state)[0].reshape(-1), blocks[0, :, d - 1] @ vec)
         assert_close(sweep(state, True)[0].reshape(-1), vec @ blocks[d - 1, :, 0])
-        t = open_transfer(probe, params).matrix
+        t = transfer_matrix(probe, params, "open").matrix
         assert_close(open_transfer_apply(probe, params, vec), t @ vec)
         assert_close(open_transfer_apply(probe, params, vec, dual=True), vec @ t)
 
@@ -105,7 +104,7 @@ def test_on_shell_vector_is_eigenvector():
     state = bethe_vector(sol.roots, params)
     assert not state.vanished
     probe = 0.93 + 0.41j
-    t = open_transfer(probe, params).matrix
+    t = transfer_matrix(probe, params, "open").matrix
     lam = eval_lambda(probe, sol.roots, params, "open")
     vec = state.vector
     resid = np.max(np.abs(t @ vec - lam * vec)) / (
@@ -120,7 +119,7 @@ def test_on_shell_vector_is_eigenvector_every_spin():
         sol = refine([ROOT_N2], params, "open")
         state = bethe_vector(sol.roots, params)
         probe = 0.93 + 0.41j
-        t = open_transfer(probe, params).matrix
+        t = transfer_matrix(probe, params, "open").matrix
         lam = eval_lambda(probe, sol.roots, params, "open")
         vec = state.vector
         resid = np.max(np.abs(t @ vec - lam * vec)) / (
@@ -137,10 +136,10 @@ def test_offshell_expansion_random_configurations():
             mods = np.exp(rng.uniform(np.log(0.7), np.log(1.5), m + 1))
             phases = rng.uniform(0.0, 2.0 * np.pi, m + 1)
             draws = mods * np.exp(1j * phases)
-            rep = offshell_residual(complex(draws[0]), tuple(draws[1:]), params)
-            if rep.vanished:
+            rep = offshell_residuals([draws[0]], [draws[1:]], params)
+            if rep.vanished[0]:
                 continue
-            assert rep.residual < 1e-8, (n_sites, spin, m)
+            assert rep.residual[0] < 1e-8, (n_sites, spin, m)
 
 
 def test_offshell_expansion_dual_vector():
@@ -149,10 +148,8 @@ def test_offshell_expansion_dual_vector():
     mods = np.exp(rng.uniform(np.log(0.7), np.log(1.5), 3))
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     draws = mods * np.exp(1j * phases)
-    rep = offshell_residual(
-        complex(draws[0]), tuple(draws[1:]), params, dual=True
-    )
-    assert rep.residual < 1e-8
+    rep = offshell_residuals([draws[0]], [draws[1:]], params, dual=True)
+    assert rep.residual[0] < 1e-8
 
 
 @pytest.mark.parametrize("n_sites, spin, m", [(2, "1/2", 3), (3, "1", 2), (4, "1/2", 3)])
@@ -164,11 +161,11 @@ def test_batched_offshell_rows_match_one_row_calls(n_sites, spin, m, dual):
     draws = np.array([_draw_values(rng, m + 1) for _ in range(6)])
     batch = offshell_residuals(draws[:, 0], draws[:, 1:], params, dual)
     for i, row in enumerate(draws):
-        one = offshell_residual(row[0], row[1:], params, dual)
-        assert bool(batch.vanished[i]) == one.vanished
-        assert abs(batch.residual[i] - one.residual) <= 1e-12
-        assert abs(batch.eigenvalue[i] - one.eigenvalue) <= 1e-12 * abs(one.eigenvalue)
-        coeffs = np.array(one.coefficients)
+        one = offshell_residuals([row[0]], [row[1:]], params, dual)
+        assert batch.vanished[i] == one.vanished[0]
+        assert abs(batch.residual[i] - one.residual[0]) <= 1e-12
+        assert abs(batch.eigenvalue[i] - one.eigenvalue[0]) <= 1e-12 * abs(one.eigenvalue[0])
+        coeffs = one.coefficients[0]
         assert np.max(np.abs(batch.coefficients[i] - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
     assert batch.vanished.all() == (m > n_sites)
 
@@ -318,11 +315,11 @@ def test_algebraic_states_beyond_q_half(q, spin):
     for m in (1, 2, 3):
         for dual in (False, True):
             draws = _draw_values(rng, m + 1)
-            rep = offshell_residual(draws[0], draws[1:], params, dual=dual)
-            assert not rep.vanished and rep.residual < 1e-8, (m, dual)
+            rep = offshell_residuals([draws[0]], [draws[1:]], params, dual=dual)
+            assert not rep.vanished[0] and rep.residual[0] < 1e-8, (m, dual)
     probe = 0.93 + 0.41j
-    t = open_transfer(probe, params).matrix
-    sols = solve_sector_open(params, 1)
+    t = transfer_matrix(probe, params, "open").matrix
+    sols = solve_all_open(params)[1]
     assert len(sols) == 2
     for sol in sols:
         lam = eval_lambda(probe, sol.roots, params, "open")

@@ -17,7 +17,7 @@ from tllab.bethe import (
 )
 from tllab.core import ModelParams, omega
 from tllab.operators import hamiltonian
-from tllab.transfer import closed_transfer, open_transfer, random_thetas
+from tllab.transfer import random_thetas, transfer_matrix
 
 SPINS = ("1/2", "1", "3/2")
 
@@ -54,7 +54,7 @@ def test_lambda_is_open_transfer_eigenvalue_for_every_spin():
     for spin in SPINS:
         params = ModelParams.create(2, spin)
         lam = eval_lambda(probe, (ROOT_N2,), params, "open")
-        eigs = np.linalg.eigvals(open_transfer(probe, params).matrix)
+        eigs = np.linalg.eigvals(transfer_matrix(probe, params, "open").matrix)
         gap = np.min(np.abs(eigs - lam))
         assert gap < 1e-10 * (1.0 + abs(lam)), spin
 
@@ -164,7 +164,7 @@ def test_closed_lambda_is_transfer_eigenvalue():
     root = 0.5401823
     kappa = twist_from_roots((root,), 0, params)
     lam = eval_lambda(probe, (complex(root),), params, "closed", kappa)
-    eigs = np.linalg.eigvals(closed_transfer(probe, params).matrix)
+    eigs = np.linalg.eigvals(transfer_matrix(probe, params, "closed").matrix)
     assert np.min(np.abs(eigs - lam)) < 1e-5 * (1.0 + abs(lam))
 
 

@@ -47,6 +47,16 @@ def test_solve_closed_chain(capsys):
     assert payload["total_degeneracy"] == payload["dimension"]
 
 
+def test_solve_open_chain_off_the_tested_grid(capsys):
+    # N=8 at q=0.3 has lines whose roots do not polish; each is still a line
+    code = main(
+        ["solve", "--chain", "open", "--sites", "8", "--q", "0.3", "--json", "-"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["total_degeneracy"] == 256
+
+
 @pytest.mark.parametrize(
     "degeneracies, ambiguous, code",
     [

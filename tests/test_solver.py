@@ -10,9 +10,10 @@ from tllab.bethe import PROBE_NUDGE, PROBE_TRIES, eval_lambda
 from tllab.core import DomainError, ModelParams
 from tllab.report import RunConfig, build_closed_spectrum, build_open_spectrum
 from tllab.symmetry import DEGENERACY_PROBE
-from tllab.transfer import _transfer_cached
+from tllab.transfer import _transfer_cached, transfer_matrix
 from tllab.solver import (
     FINGERPRINT_PROBES,
+    LAMBDA_MATCH_TOL,
     SearchConfig,
     _passes_guards,
     _solution_key,
@@ -26,7 +27,6 @@ from tllab.solver import (
     refine,
     solve_all_open,
     solve_sector_closed,
-    solve_sector_open,
 )
 
 FAST = SearchConfig(n_seeds=400)
@@ -158,6 +158,13 @@ def test_open_census_matches_multiplicities():
         *((5, "1/2", q) for q in (0.3, 0.7, 1.5, 0.4 + 0.3j)),
         (4, "1", 0.5),
         (4, "3/2", 0.5),
+        # lines whose roots do not polish, or carry Lambda only to ~1e-8
+        (6, "1/2", 0.3),
+        (7, "1/2", 0.3),
+        (8, "1/2", 0.3),
+        (8, "1/2", 0.5),
+        (8, "1/2", 1.5),
+        (6, "1", 0.3),
     ],
 )
 def test_open_spectrum_is_complete(n_sites, spin, q):
@@ -175,8 +182,9 @@ def test_open_spectrum_is_complete(n_sites, spin, q):
 
 
 def test_open_solve_builds_transfer_matrices_only_at_the_probe(monkeypatch):
-    # Lambda is sampled by sweeps: the only dense t(u) are the probe's (nudged
-    # off a pole of some line's Lambda at most), and nothing else is cached
+    # Lambda is sampled by sweeps and each line is measured at its own
+    # eigenvalue: the one dense t(u) is t(DEGENERACY_PROBE), and nothing
+    # else is cached
     points = []
     for module in (solver, symmetry):
         def recorded(u, params, kind, _inner=module.transfer_matrix):
@@ -186,16 +194,39 @@ def test_open_solve_builds_transfer_matrices_only_at_the_probe(monkeypatch):
         monkeypatch.setattr(module, "transfer_matrix", recorded)
     _transfer_cached.cache_clear()
     solve_all_open(ModelParams.create(5, "1/2"))
-    probes = DEGENERACY_PROBE * PROBE_NUDGE ** np.arange(PROBE_TRIES)
-    assert points
-    assert all(np.min(np.abs(probes - u)) < 1e-12 for u in points), points
-    assert _transfer_cached.cache_info().currsize == len(set(points))
+    assert points == [DEGENERACY_PROBE]
+    assert _transfer_cached.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n_sites, spin", [(5, "1/2"), (4, "1")])
+def test_open_lines_do_not_depend_on_refine(monkeypatch, n_sites, spin):
+    # with Newton failing on every line, the TQ zeros are reported as the
+    # roots: the census and degeneracies are the same, and each line's roots
+    # still carry its eigenvalue at the probe
+    params = ModelParams.create(n_sites, spin)
+    polished = solve_all_open(params)
+
+    def fails(*args, **kwargs):
+        raise DomainError("refinement did not converge")
+
+    monkeypatch.setattr(solver, "refine", fails)
+    raw = solve_all_open(params)
+    assert {m: [s.degeneracy for s in sols] for m, sols in raw.items()} == {
+        m: [s.degeneracy for s in sols] for m, sols in polished.items()
+    }
+    eigs, _ = solver._lines(transfer_matrix(DEGENERACY_PROBE, params, "open").matrix)
+    hits = []
+    for sol in (sol for sols in raw.values() for sol in sols):
+        value = eval_lambda(DEGENERACY_PROBE, sol.roots, params, "open")
+        hits.append(np.argmin(np.abs(eigs - value)))
+        assert abs(value - eigs[hits[-1]]) <= LAMBDA_MATCH_TOL * abs(eigs[hits[-1]]), sol.roots
+    assert sorted(hits) == list(range(len(eigs)))
 
 
 def test_line_order_does_not_follow_roundoff():
     # the four open N=5, s=1/2 lines with M=1 all have |u| = sqrt(2): copies
     # perturbed by a few ulps and shuffled must still sort to one order
-    lines = solve_sector_open(ModelParams.create(5, "1/2"), 1)
+    lines = solve_all_open(ModelParams.create(5, "1/2"))[1]
     assert np.ptp([abs(sol.roots[0]) for sol in lines]) < 1e-14
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -212,7 +243,7 @@ def test_no_parasitic_lines_in_two_root_sector():
     # u_1 u_2 = 1/q^2 that are not transfer eigenvalues; the spectrum
     # filter must reject them
     params = ModelParams.create(4, "1/2")
-    lines = solve_sector_open(params, 2)
+    lines = solve_all_open(params)[2]
     assert len(lines) == 2
     mags = sorted(abs(r) for sol in lines for r in sol.roots)
     # genuine lines stay away from the double pole at u = 2
@@ -223,7 +254,7 @@ def test_no_parasitic_lines_in_two_root_sector():
 
 def test_conjugate_pair_line_present():
     params = ModelParams.create(4, "1/2")
-    lines = solve_sector_open(params, 2)
+    lines = solve_all_open(params)[2]
     conj = [
         sol
         for sol in lines
@@ -252,12 +283,6 @@ def test_refine_converges_from_perturbed_start():
     assert min(abs(r - ROOT_EXACT) for r in sol.roots) < 1e-10 or min(
         abs(r + ROOT_EXACT) for r in sol.roots
     ) < 1e-10
-
-
-def test_sector_bound_raises():
-    params = ModelParams.create(4, "1/2")
-    with pytest.raises(DomainError):
-        solve_sector_open(params, 3)
 
 
 def test_anchored_two_site_closed_sector():

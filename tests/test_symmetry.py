@@ -18,7 +18,7 @@ from tllab.symmetry import (
     line_degeneracy,
     measure_degeneracy,
 )
-from tllab.transfer import open_transfer
+from tllab.transfer import transfer_matrix
 
 
 def test_symmetry_report_residuals_are_tiny():
@@ -82,7 +82,7 @@ def test_check_symmetry_stays_small():
 
 def test_generator_blocks_commute_with_transfer():
     params = ModelParams.create(3, "1/2")
-    t = open_transfer(0.87 + 0.33j, params).matrix
+    t = transfer_matrix(0.87 + 0.33j, params, "open").matrix
     scale = 1.0 + np.max(np.abs(t))
     for sign in ("+", "-"):
         blocks = generator_blocks(params, sign)

@@ -8,10 +8,8 @@ from tllab.operators import hamiltonian
 from tllab.suites import shift_operator
 from tllab.symmetry import generator_blocks
 from tllab.transfer import (
-    closed_transfer,
     hamiltonian_from_transfer,
     open_monodromy_apply,
-    open_transfer,
     open_transfer_apply,
     random_thetas,
     transfer_matrix,
@@ -25,7 +23,7 @@ def _rel(a, b):
 def test_open_transfer_at_one_is_scalar():
     for n_sites, spin in ((2, "1/2"), (3, "1/2"), (2, "1")):
         params = ModelParams.create(n_sites, spin)
-        t1 = open_transfer(1.0, params).matrix
+        t1 = transfer_matrix(1.0, params, "open").matrix
         scalar = params.coupling * omega(params.q) ** (2 * n_sites)
         assert _rel(t1, scalar * np.eye(t1.shape[0])) < 1e-12, (n_sites, spin)
 
@@ -38,7 +36,7 @@ def test_batched_transfer_apply_matches_dense(n_sites, spin):
     dim = params.site_dim**n_sites
     vecs = rng.normal(size=(2, 3, dim)) + 1j * rng.normal(size=(2, 3, dim))
     u = 1.07 + 0.38j
-    t = open_transfer(u, params).matrix
+    t = transfer_matrix(u, params, "open").matrix
     for dual, want in ((False, vecs @ t.T), (True, vecs @ t)):
         got = open_transfer_apply(u, params, vecs, dual)
         assert got.shape == vecs.shape
@@ -76,7 +74,7 @@ def test_per_row_points_match_scalar_calls(n_sites, spin, weights):
 def test_closed_transfer_at_one_is_shift():
     for n_sites, spin in ((2, "1/2"), (3, "1/2"), (2, "1"), (3, "1")):
         params = ModelParams.create(n_sites, spin)
-        t1 = closed_transfer(1.0, params).matrix
+        t1 = transfer_matrix(1.0, params, "closed").matrix
         shift = shift_operator(n_sites, params.site_dim)
         assert _rel(t1, omega(params.q) ** n_sites * shift) < 1e-12, (n_sites, spin)
 
@@ -103,8 +101,8 @@ def test_open_transfer_crossing_invariance():
     thetas = random_thetas(2, rng, q=0.5)
     params = ModelParams.create(2, "1", thetas=thetas)
     u = 1.12 - 0.33j
-    left = open_transfer(u, params).matrix
-    right = open_transfer(-1.0 / (u * params.q), params).matrix
+    left = transfer_matrix(u, params, "open").matrix
+    right = transfer_matrix(-1.0 / (u * params.q), params, "open").matrix
     assert _rel(left, right) < 1e-12
 
 
@@ -120,7 +118,7 @@ def test_hamiltonian_from_transfer_matches_direct():
 def test_asymptotic_trace_commutes_with_transfer():
     params = ModelParams.create(2, "1")
     trace_op = np.trace(generator_blocks(params, "+"), axis1=0, axis2=1)
-    t = closed_transfer(0.87 + 0.22j, params).matrix
+    t = transfer_matrix(0.87 + 0.22j, params, "closed").matrix
     assert _rel(trace_op @ t, t @ trace_op) < 1e-12
 
 
