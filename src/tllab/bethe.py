@@ -55,6 +55,8 @@ class BetheSolution:
     ``degeneracy`` and ``ambiguous`` are the line's measured nullity and its
     flag from ``symmetry.measure_degeneracy``, set on every solution a
     sector solver returns (None and False before the measurement).
+    ``polished`` is False on an open line whose roots Newton did not
+    converge on, so that they are its TQ zeros as fitted.
     """
 
     kind: str
@@ -64,6 +66,7 @@ class BetheSolution:
     residual_norm: float = 0.0
     degeneracy: int | None = None
     ambiguous: bool = False
+    polished: bool = True
 
     @property
     def n_roots(self) -> int:

@@ -87,7 +87,10 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--spin", default="1/2", metavar="S", help="site spin, e.g. 1/2, 1, 3/2"
     )
-    solve.add_argument("--q", type=float, default=0.5, help="deformation parameter")
+    solve.add_argument(
+        "--q", type=complex, default=0.5,
+        help="deformation parameter, real or complex (e.g. 0.5, 0.4+0.3j)",
+    )
     _add_output_options(solve)
 
     reproduce = sub.add_parser(

@@ -32,6 +32,12 @@ __all__ = [
 SPIN_COLUMNS = ("1/2", "1", "3/2")
 
 _NUM = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
+#: Smallest tolerance of a printed component; a component printed without
+#: decimals is taken as exact and carries this floor alone.
+PRINTED_TOL_FLOOR = 1e-9
+#: Default tolerance of a closed-form value: half a unit in the sixth
+#: significant digit, the precision at which the tables display their columns.
+DISPLAY_TOL = 5e-6
 
 
 def _part(text: str):
@@ -41,7 +47,7 @@ def _part(text: str):
         decimals = len(text.split(".", 1)[1])
         tol = 0.6 * 10.0 ** (-decimals)
     else:
-        tol = 1e-9
+        tol = PRINTED_TOL_FLOOR
     return float(text), tol
 
 
@@ -88,17 +94,14 @@ def printed(re_text: str, im_text: str = "0") -> Printed:
     return Printed(
         text=text,
         value=complex(re_val, im_val),
-        tol_re=max(tol_re, 1e-9),
-        tol_im=max(tol_im, 1e-9),
+        tol_re=max(tol_re, PRINTED_TOL_FLOOR),
+        tol_im=max(tol_im, PRINTED_TOL_FLOOR),
     )
 
 
-def exact(value, label: str, tol: float = 5e-6) -> Printed:
-    """Reference value known in closed form, matched at display precision.
-
-    The default tolerance is half a unit in the sixth significant digit,
-    the precision at which the reference tables display their columns.
-    """
+def exact(value, label: str, tol: float = DISPLAY_TOL) -> Printed:
+    """Reference value known in closed form, matched at display precision
+    (DISPLAY_TOL by default)."""
     return Printed(text=label, value=complex(value), tol_re=tol, tol_im=tol)
 
 

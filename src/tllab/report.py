@@ -85,6 +85,7 @@ class LineRecord:
     degeneracy: int = None
     predicted: int = None
     ambiguous: bool = False
+    polished: bool = True
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,7 @@ def build_open_spectrum(params: ModelParams, config: RunConfig = None) -> Spectr
             degeneracy=sol.degeneracy,
             predicted=predicted_degeneracy(params, m),
             ambiguous=sol.ambiguous,
+            polished=sol.polished,
         )
         for m, sols in sorted(solve_all_open(params).items())
         for sol in sols
@@ -250,6 +252,7 @@ def build_closed_spectrum(params: ModelParams, config: RunConfig = None) -> Spec
             residual=sol.residual_norm,
             degeneracy=sol.degeneracy,
             ambiguous=sol.ambiguous,
+            polished=sol.polished,
         )
         for (m, sector), sols in sorted(solve_all_closed(params, config.search()).items())
         for sol in sols
@@ -504,6 +507,7 @@ def _line_payload(rec: LineRecord) -> dict:
         "degeneracy": rec.degeneracy,
         "predicted": rec.predicted,
         "ambiguous": rec.ambiguous,
+        "polished": rec.polished,
     }
 
 

@@ -14,14 +14,17 @@ Lambda(DEGENERACY_PROBE) reproduces lambda to LAMBDA_MATCH_TOL.
 Closed chain, multistart: seeds are drawn log-uniformly from an annulus and
 driven by a damped (backtracking) Newton iteration on the batched residual
 and Jacobian kernel of ``bethe.newton_system``, vectorized across the whole
-seed batch.  The converged root tuples of a sector are then screened as one
-(b, m) batch: singularity guards, per-root canonicalization over the
-symmetry orbit of the equations, a residual check, and deduplication keyed
-on eigenvalue fingerprints, which are evaluated for all candidates in one
-call.  Each candidate is measured by ``symmetry.line_degeneracy``: it is
-kept iff its eigenvalue really occurs in the transfer-matrix spectrum
-(nullity at least 1), and it carries that degeneracy and its ``ambiguous``
-flag.
+seed batch.  Its line search tries several step halvings of every pending
+seed in one residual call, with no call carrying more rows than the Newton
+batch (``_backtrack``); each seed takes the first halving that lowers its
+residual, as a search of one halving per call would.  The converged root
+tuples of a sector are then screened as one (b, m) batch: singularity
+guards, per-root canonicalization over the symmetry orbit of the equations,
+a residual check, and deduplication keyed on eigenvalue fingerprints, which
+are evaluated for all candidates in one call.  Each candidate is measured
+by ``symmetry.line_degeneracy``: it is kept iff its eigenvalue really occurs
+in the transfer-matrix spectrum (nullity at least 1), and it carries that
+degeneracy and its ``ambiguous`` flag.
 """
 
 from __future__ import annotations
@@ -73,7 +76,10 @@ SEED_ANNULUS = (0.3, 3.0)
 #: Newton iterations per seed, and the scaled residual that counts as converged.
 NEWTON_MAX_ITER = 80
 NEWTON_TOL = 1e-12
-#: Step halvings tried before a seed that does not improve is dropped.
+#: Step halvings 2^-1 .. 2^-MAX_BACKTRACK tried, after the full step, before a
+#: seed that does not improve is dropped.  ``_backtrack`` tries them in
+#: blocks of consecutive halvings, one call of the residual kernel per block,
+#: each call bounded by the Newton batch's row count.
 MAX_BACKTRACK = 30
 MODULUS_BOUNDS = (1e-6, 1e6)
 FINGERPRINT_PROBES = (0.93 + 0.41j, 1.78 - 0.67j, 0.41 + 1.13j)
@@ -208,23 +214,41 @@ def _newton_driver(fun, seeds):
         u, step, norm = u[good], step[good], norm[good]
         if u.shape[0] == 0:
             break
-        t = np.ones(u.shape[0])
-        pending = np.ones(u.shape[0], dtype=bool)
-        new_u = u.copy()
-        for _ in range(MAX_BACKTRACK + 1):
-            if not pending.any():
-                break
-            cand = u[pending] - t[pending, None] * step[pending]
-            _, crs, _ = fun(cand, jac=False)
-            cnorm = _scaled_norm(crs)
-            improved = np.isfinite(cnorm) & (cnorm < norm[pending])
-            sub = np.flatnonzero(pending)
-            new_u[sub[improved]] = cand[improved]
-            pending[sub[improved]] = False
-            t[pending] *= 0.5
-        u = new_u[~pending]  # seeds that never improved are dropped
+        u = _backtrack(fun, u, step, norm)
     # whatever is still alive after NEWTON_MAX_ITER has not converged: discard
     return results
+
+
+def _backtrack(fun, u, step, norm):
+    """The damped Newton steps of a batch: row i moves to u_i - 2^-k step_i
+    for the first k = 0 .. MAX_BACKTRACK at which its scaled residual is
+    finite and below norm_i.  Rows that no k improves are dropped; the rest
+    keep their order.
+
+    Consecutive halvings are tried in blocks, one call of ``fun`` per block
+    on every pending row.  A block holds as many halvings as are left, but
+    no call carries more rows than u, so a lone row takes one halving per
+    call.  ``fun`` works row by row, so each row takes the step that one
+    halving per call would give it."""
+    b, m = u.shape
+    new_u = u.copy()
+    moved = np.zeros(b, dtype=bool)
+    pending = np.arange(b)
+    k = 0
+    while pending.size and k <= MAX_BACKTRACK:
+        w = min(MAX_BACKTRACK + 1 - k, max(1, b // pending.size))
+        t = 0.5 ** np.arange(k, k + w)
+        cand = u[pending, None] - t[:, None] * step[pending, None]  # (p, w, m)
+        _, crs, _ = fun(cand.reshape(-1, m), jac=False)
+        cnorm = _scaled_norm(crs).reshape(-1, w)
+        improved = np.isfinite(cnorm) & (cnorm < norm[pending, None])
+        hit = improved.any(axis=1)
+        first = np.argmax(improved[hit], axis=1)
+        new_u[pending[hit]] = cand[hit, first]
+        moved[pending[hit]] = True
+        pending = pending[~hit]
+        k += w
+    return new_u[moved]
 
 
 def _draw_seeds(params: ModelParams, m: int, sector: int, config: SearchConfig):
@@ -564,14 +588,16 @@ def _tq_roots(p, q) -> np.ndarray:
 
 def _open_line(p, params: ModelParams) -> BetheSolution:
     """The roots of one TQ polynomial P: its zeros, polished by ``refine``
-    where Newton converges and else canonicalized as they are."""
+    where Newton converges and else canonicalized as they are, marked
+    unpolished."""
     roots = _tq_roots(p, params.q)
     if not roots.size:
         return BetheSolution(kind="open", roots=())
     try:
         return refine(roots, params, "open")
     except DomainError:
-        return _solutions(_make_solution([roots], params, "open"), "open")[0]
+        sol = _solutions(_make_solution([roots], params, "open"), "open")[0]
+        return replace(sol, polished=False)
 
 
 def solve_all_open(params: ModelParams):

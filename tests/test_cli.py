@@ -45,6 +45,7 @@ def test_solve_closed_chain(capsys):
     payload = json.loads(out)
     assert payload["chain"] == "closed"
     assert payload["total_degeneracy"] == payload["dimension"]
+    assert all(line["polished"] for line in payload["lines"])
 
 
 def test_solve_open_chain_off_the_tested_grid(capsys):
@@ -55,6 +56,18 @@ def test_solve_open_chain_off_the_tested_grid(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["total_degeneracy"] == 256
+    # 18 of its lines report TQ zeros that Newton does not polish
+    assert sum(not line["polished"] for line in payload["lines"]) == 18
+
+
+def test_solve_takes_complex_q(capsys):
+    code = main(
+        ["solve", "--chain", "open", "--sites", "4", "--q", "0.4+0.3j", "--json", "-"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["q"] == {"re": 0.4, "im": 0.3}
+    assert payload["total_degeneracy"] == 16
 
 
 @pytest.mark.parametrize(

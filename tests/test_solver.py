@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tllab import solver, symmetry
-from tllab.bethe import PROBE_NUDGE, PROBE_TRIES, eval_lambda
+from tllab.bethe import PROBE_NUDGE, PROBE_TRIES, eval_lambda, newton_system
 from tllab.core import DomainError, ModelParams
 from tllab.report import RunConfig, build_closed_spectrum, build_open_spectrum
 from tllab.symmetry import DEGENERACY_PROBE
@@ -14,8 +14,16 @@ from tllab.transfer import _transfer_cached, transfer_matrix
 from tllab.solver import (
     FINGERPRINT_PROBES,
     LAMBDA_MATCH_TOL,
+    MAX_BACKTRACK,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     SearchConfig,
+    _batch_solve,
+    _draw_seeds,
+    _newton_driver,
+    _one_root_candidates,
     _passes_guards,
+    _scaled_norm,
     _solution_key,
     canonical_roots,
     chebyshev_dim,
@@ -331,3 +339,94 @@ def test_three_site_spectrum_is_complete_across_q(kind, q):
     report = build(params, RunConfig(seed=1234))
     assert report.total_degeneracy == report.dimension
     assert not any(line.ambiguous for line in report.lines)
+
+
+def _sequential_newton(fun, seeds):
+    """Damped Newton with one step halving per call of ``fun``: the oracle
+    for _newton_driver, whose line search tries several halvings per call."""
+    u = np.array(seeds, dtype=complex)
+    results = []
+    for _ in range(NEWTON_MAX_ITER):
+        if u.shape[0] == 0:
+            break
+        r, rs, j = fun(u, jac=True)
+        norm = _scaled_norm(rs)
+        finite = (
+            np.isfinite(norm)
+            & np.all(np.isfinite(r), axis=-1)
+            & np.all(np.isfinite(j), axis=(-2, -1))
+        )
+        done = finite & (norm < NEWTON_TOL)
+        results.extend(tuple(row) for row in u[done])
+        keep = finite & ~done
+        u, r, j, norm = u[keep], r[keep], j[keep], norm[keep]
+        if u.shape[0] == 0:
+            break
+        step = _batch_solve(j, r)
+        good = np.all(np.isfinite(step), axis=-1)
+        u, step, norm = u[good], step[good], norm[good]
+        t = np.ones(u.shape[0])
+        pending = np.ones(u.shape[0], dtype=bool)
+        new_u = u.copy()
+        for _ in range(MAX_BACKTRACK + 1):
+            if not pending.any():
+                break
+            cand = u[pending] - t[pending, None] * step[pending]
+            _, crs, _ = fun(cand, jac=False)
+            cnorm = _scaled_norm(crs)
+            improved = np.isfinite(cnorm) & (cnorm < norm[pending])
+            sub = np.flatnonzero(pending)
+            new_u[sub[improved]] = cand[improved]
+            pending[sub[improved]] = False
+            t[pending] *= 0.5
+        u = new_u[~pending]
+    return results
+
+
+def _recorded(fun, calls):
+    """``fun`` that logs (jac, rows) of every call into ``calls``."""
+    def wrapped(u, jac=True):
+        calls.append((jac, u.shape[0]))
+        return fun(u, jac)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "n_sites, spin, q, n_roots, sector",
+    [(4, "1/2", 0.5, 2, 0), (3, "1", 0.7, 1, 0)],
+)
+def test_batched_line_search_keeps_every_decision(n_sites, spin, q, n_roots, sector):
+    # the closed search's own seeds: _newton_driver converges to exactly the
+    # oracle's tuples, in order, in fewer calls, none of them carrying more
+    # rows than the Newton batch of its iteration
+    params = ModelParams.create(n_sites, spin, q=q)
+    seeds = _draw_seeds(params, n_roots, sector, SearchConfig())
+    if n_roots == 1:
+        seeds = np.vstack([np.array(_one_root_candidates(params, sector)), seeds])
+    fun = newton_system(params, "closed", sector)
+    one, many = [], []
+    want = _sequential_newton(_recorded(fun, one), seeds)
+    got = _newton_driver(_recorded(fun, many), seeds)
+    assert len(want) > 500
+    assert got == want
+    assert len(many) < len(one)
+    batch = None
+    for jac, rows in many:
+        if jac:
+            batch = rows
+        else:
+            assert rows <= batch
+
+
+def test_one_seed_refine_halves_once_per_call(monkeypatch):
+    # a lone seed gets one halving per call: from this start no step helps,
+    # and all MAX_BACKTRACK + 1 of them are tried, one at a time
+    calls = []
+    monkeypatch.setattr(
+        solver, "newton_system",
+        lambda *args: _recorded(newton_system(*args), calls),
+    )
+    with pytest.raises(DomainError):
+        refine([3.0 * ROOT_EXACT], ModelParams.create(2, "1/2"), "open")
+    assert calls == [(True, 1)] + [(False, 1)] * (MAX_BACKTRACK + 1)
