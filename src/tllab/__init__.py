@@ -33,7 +33,7 @@ from .solver import (
     solve_all_open,
     solve_sector_closed,
 )
-from .symmetry import check_symmetry, line_degeneracy
+from .symmetry import check_symmetry
 from .aba import (
     bethe_vector,
     check_highest_weight,
@@ -76,7 +76,6 @@ __all__ = [
     "expected_census",
     "predicted_degeneracy",
     "check_symmetry",
-    "line_degeneracy",
     "bethe_vector",
     "check_highest_weight",
     "scalar_product",

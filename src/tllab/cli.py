@@ -191,8 +191,19 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _attach_q(argv):
+    """argv with each ``--q VALUE`` written ``--q=VALUE``: argparse reads a
+    value that starts with '-' and is not a plain negative number, such as
+    the complex -0.4+0.3j, as an option."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--q" else None
+        out.append(arg if value is None else f"--q={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_q(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "solve":
             return _cmd_solve(args)

@@ -19,12 +19,14 @@ seed in one residual call, with no call carrying more rows than the Newton
 batch (``_backtrack``); each seed takes the first halving that lowers its
 residual, as a search of one halving per call would.  The converged root
 tuples of a sector are then screened as one (b, m) batch: singularity
-guards, per-root canonicalization over the symmetry orbit of the equations,
-a residual check, and deduplication keyed on eigenvalue fingerprints, which
-are evaluated for all candidates in one call.  Each candidate is measured
-by ``symmetry.line_degeneracy``: it is kept iff its eigenvalue really occurs
-in the transfer-matrix spectrum (nullity at least 1), and it carries that
-degeneracy and its ``ambiguous`` flag.
+guards, per-root canonicalization over the symmetry orbit of the equations
+and a residual check.  The closed chain then decides its lines the way the
+open chain does, on the distinct eigenvalues lambda of the closed
+t(DEGENERACY_PROBE): a candidate is kept iff its Lambda(DEGENERACY_PROBE),
+evaluated for all candidates of the sector in one batched call, lies within
+LAMBDA_MATCH_TOL of some lambda, and the candidates that share a lambda are
+one line (``_closed_lines``).  Each line's degeneracy is the nullity of
+t(DEGENERACY_PROBE) - lambda.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .core import DomainError, ModelParams, omega, pi_phase
 from .bethe import (
     BetheSolution,
     _amplitudes,
+    _lambda_terms,
     bethe_sides,
     eval_lambda,
     newton_system,
@@ -46,12 +49,7 @@ from .bethe import (
     sector_phase,
     twist_from_roots,
 )
-from .symmetry import (
-    DEGENERACY_PROBE,
-    generator_blocks,
-    line_degeneracy,
-    measure_degeneracy,
-)
+from .symmetry import DEGENERACY_PROBE, generator_blocks, measure_degeneracy
 from .transfer import open_transfer_apply, transfer_matrix
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "expected_census",
     "fingerprint",
     "canonical_roots",
-    "dedup_solutions",
     "solve_sector_closed",
     "solve_all_open",
     "solve_all_closed",
@@ -83,9 +80,6 @@ NEWTON_TOL = 1e-12
 MAX_BACKTRACK = 30
 MODULUS_BOUNDS = (1e-6, 1e6)
 FINGERPRINT_PROBES = (0.93 + 0.41j, 1.78 - 0.67j, 0.41 + 1.13j)
-#: Relative fingerprint distance below which two solutions are one line
-#: (see dedup_solutions).
-DEDUP_TOL = 1e-6
 #: Roots are ordered and canonicalized on their parts rounded to 1e-9.
 ROOT_KEY_SCALE = 1e9
 #: Scaled residual that a canonical representative must still reach, loose
@@ -96,19 +90,25 @@ CANONICAL_RESIDUAL_TOL = 1e-8
 CANONICAL_FP_TOL = 1e-7
 #: Scaled residual below which a conjugated tuple is a genuine solution.
 CLOSURE_RESIDUAL_TOL = 1e-9
-#: Root-magnitude sums closer than this tie in dedup's choice of representative.
+#: Root-magnitude sums closer than this tie in the choice of a closed line's
+#: representative (see _closed_lines).
 MAGNITUDE_TIE = 1e-12
 #: Site weights are conjugation-stable when their sorted conjugates agree to this.
 THETA_CONJ_TOL = 1e-12
 #: Eigenvalues of t(DEGENERACY_PROBE) closer than this times its spectral
-#: radius are one open-chain line.
+#: radius are one line.
 LINE_TOL = 1e-7
 #: Relative residual below which a degree-M polynomial fits the TQ relation.
 TQ_FIT_TOL = 1e-9
 #: Largest relative distance |Lambda(DEGENERACY_PROBE; roots) - lambda| / |lambda|
-#: at which an open line's reported roots still carry its eigenvalue lambda.
+#: at which a line's roots still carry its eigenvalue lambda.
 #: The worst measured, over open N = 6..10 at s = 1/2 (q = 0.3, 0.5, 1.5) and
 #: N = 6 at s = 1, q = 0.3, is 6.8e-8 at N=10, q=0.5: a margin of 15.
+#: Closed candidates (seed 1234): over the closed census (N = 2, 3 at every
+#: spin, N = 5 at s = 1/2, N = 3 at q = 0.3, 0.7, 1.5) the kept ones match to
+#: at most 4.6e-11 and the rejected ones miss by at least 0.063; at N = 4
+#: (s = 1/2, 1, 3/2) and N = 6 (s = 1/2) the kept worst is 3.1e-8 and the
+#: rejected nearest 2.7e-5 and 4.7e-5.
 LAMBDA_MATCH_TOL = 1e-6
 
 
@@ -292,7 +292,7 @@ def _one_root_candidates(params: ModelParams, sector: int):
 
 
 # ---------------------------------------------------------------------------
-# guards, canonicalization, dedup
+# guards, canonicalization, lines
 
 
 def _passes_guards(u, params: ModelParams):
@@ -412,71 +412,6 @@ def _candidates(raw, n_roots, params, sector):
     return _solutions(made, "closed", sector, _passes_guards(made[0], params))
 
 
-def _fingerprints(solutions, params):
-    """Fingerprints of all solutions, one batched call per (kind, M) group."""
-    prints = np.full((len(solutions), len(FINGERPRINT_PROBES)), np.nan, dtype=complex)
-    groups = {}
-    for i, sol in enumerate(solutions):
-        groups.setdefault((sol.kind, sol.n_roots), []).append(i)
-    for (kind, m), idx in groups.items():
-        roots = np.array([solutions[i].roots for i in idx], dtype=complex)
-        twist = None if kind == "open" else [solutions[i].twist for i in idx]
-        prints[idx] = fingerprint(roots.reshape(len(idx), m), params, kind, twist)
-    return prints
-
-
-def dedup_solutions(solutions, params: ModelParams):
-    """Collapse solutions that describe the same spectral line.
-
-    Identity is judged by the eigenvalue fingerprint (same Lambda function
-    means same line, whatever the root bookkeeping): two solutions of one
-    sector are one line when their fingerprints agree to DEDUP_TOL relative
-    to 1 + their largest entry.  Newton stops at a scaled residual of 1e-12,
-    but an ill-conditioned root carries a larger error into Lambda: the
-    copies of the closed N=3, s=1/2, q=0.7 root 1.19523 differ by up to
-    3e-10.  Distinct lines of one sector differ by at least 8e-3 over the
-    stored tables and the N=5, 6 spectra, so 1e-6 sits between the two.
-
-    Solutions are taken in order: each joins the first kept line it matches
-    (matched against that line's first fingerprint), or else starts a new
-    one.  A clearly smaller residual norm wins the line; at comparable
-    residuals the smaller total root magnitude does, so crossing partners
-    collapse onto the customary representative.  A solution without a
-    pole-free fingerprint is dropped.
-    """
-    solutions = list(solutions)
-    prints = _fingerprints(solutions, params)
-    top = np.max(np.abs(prints), axis=-1, initial=0.0)
-    usable = np.isfinite(prints).all(axis=-1)
-    groups = {}
-    for i in np.flatnonzero(usable):
-        sol = solutions[i]
-        groups.setdefault((sol.n_roots, sol.sector), []).append(i)
-    lines = []  # (first index, members in order) of each kept line
-    for idx in groups.values():
-        rest = np.array(idx)
-        while rest.size:
-            first = rest[0]
-            scale = 1.0 + np.maximum(top[first], top[rest])
-            dist = np.max(np.abs(prints[rest] - prints[first]), axis=-1)
-            hit = dist < DEDUP_TOL * scale
-            lines.append((first, rest[hit]))
-            rest = rest[~hit]
-    kept = []
-    for _, members in sorted(lines, key=lambda line: line[0]):
-        best = solutions[members[0]]
-        for i in members[1:]:
-            sol = solutions[i]
-            if sol.residual_norm < 0.1 * best.residual_norm:
-                best = sol
-            elif best.residual_norm < 0.1 * sol.residual_norm:
-                pass
-            elif _magnitude(sol) < _magnitude(best) - MAGNITUDE_TIE:
-                best = sol
-        kept.append(best)
-    return sorted(kept, key=_solution_key)
-
-
 def _magnitude(sol: BetheSolution) -> float:
     return float(sum(abs(r) for r in sol.roots))
 
@@ -488,6 +423,41 @@ def _solution_key(sol: BetheSolution):
     u = np.asarray(sol.roots, dtype=complex)
     parts = np.stack([np.abs(u), u.real, u.imag], axis=-1)
     return tuple(np.rint(parts * ROOT_KEY_SCALE).ravel().tolist())
+
+
+def _closed_lines(solutions, eigs, params: ModelParams):
+    """The lines among closed-chain solutions of one sector (M, l), as
+    (solution, lambda) pairs in _solution_key order.
+
+    ``eigs`` are the line eigenvalues of the closed t(DEGENERACY_PROBE) (see
+    _lines).  Lambda(DEGENERACY_PROBE) is evaluated for all solutions in one
+    batched call; a solution is kept iff it is off a pole there and its
+    nearest lambda lies within LAMBDA_MATCH_TOL * |lambda| of it.  The kept
+    solutions at one lambda are one line, taken in order: a clearly (10x)
+    smaller residual norm wins the line; at comparable residuals the smaller
+    total root magnitude does, so crossing partners collapse onto the
+    customary representative.
+    """
+    if not solutions:
+        return []
+    u = np.array([sol.roots for sol in solutions], dtype=complex).reshape(len(solutions), -1)
+    v = np.full((len(solutions), 1), DEGENERACY_PROBE)
+    twist = [sol.twist for sol in solutions]
+    (term_a, term_d), _, ok = _lambda_terms(v, u, params, "closed", twist)
+    dist = np.abs(term_a + term_d - eigs)  # (solutions, lines)
+    near = np.argmin(dist, axis=1)
+    gap = np.take_along_axis(dist, near[:, None], axis=1)[:, 0]
+    match = ok[:, 0] & (gap <= LAMBDA_MATCH_TOL * np.abs(eigs[near]))
+    best = {}
+    for i in np.flatnonzero(match):
+        sol, cur = solutions[i], best.get(near[i])
+        if cur is None or sol.residual_norm < 0.1 * cur.residual_norm or (
+            not cur.residual_norm < 0.1 * sol.residual_norm
+            and _magnitude(sol) < _magnitude(cur) - MAGNITUDE_TIE
+        ):
+            best[near[i]] = sol
+    lines = ((sol, eigs[k]) for k, sol in best.items())
+    return sorted(lines, key=lambda line: _solution_key(line[0]))
 
 
 def _conjugate_closure(solutions, params: ModelParams, sector: int):
@@ -507,7 +477,7 @@ def _conjugate_closure(solutions, params: ModelParams, sector: int):
         roots, _, residual = made
         keep = (residual < CLOSURE_RESIDUAL_TOL) & _passes_guards(roots, params)
         extra = _solutions(made, "closed", sector, keep)
-    return dedup_solutions(list(solutions) + extra, params)
+    return list(solutions) + extra
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +492,8 @@ def _tq_points(n_sites: int) -> np.ndarray:
 
 
 def _lines(t: np.ndarray):
-    """The open lines of t = t(DEGENERACY_PROBE): (eigenvalues, right
-    eigenvectors as rows), one per line.  Eigenvalues closer than LINE_TOL
+    """The lines of t = t(DEGENERACY_PROBE), open or closed: (eigenvalues,
+    right eigenvectors as rows), one per line.  Eigenvalues closer than LINE_TOL
     times the spectral radius are one line, represented by the first."""
     eigs, vecs = np.linalg.eig(t)
     tol = LINE_TOL * np.max(np.abs(eigs))
@@ -642,16 +612,21 @@ def solve_sector_closed(
 ):
     """All Bethe solutions of the closed chain with M = n_roots and label l.
 
-    The two-site one-root system is degenerate (it is satisfied identically
-    once the twist is substituted), so that sector is anchored instead on the
-    eigenvalues of the traced leading monodromy, which fixes kappa and then
-    the root.
+    The candidates are decided on the line eigenvalues of the closed
+    t(DEGENERACY_PROBE) (_closed_lines), before and after their conjugate
+    closure, and each line carries the nullity of t(DEGENERACY_PROBE) -
+    lambda as its degeneracy.  The two-site one-root system is degenerate
+    (it is satisfied identically once the twist is substituted), so that
+    sector is anchored instead on the eigenvalues of the traced leading
+    monodromy, which fixes kappa and then the root.
     """
     config = config or SearchConfig()
     n = params.n_sites
     sector = sector % n
     if 2 * n_roots > n:
         raise DomainError(f"M = {n_roots} exceeds N/2 = {n / 2} for the closed chain")
+    t = transfer_matrix(DEGENERACY_PROBE, params, "closed").matrix
+    eigs, _ = _lines(t)
     if n_roots == 0:
         twist = twist_from_roots((), sector, params)
         cands = [BetheSolution(kind="closed", roots=(), sector=sector, twist=twist)]
@@ -665,17 +640,13 @@ def solve_sector_closed(
                 seeds = np.vstack([np.array(extra, dtype=complex), seeds])
         raw = _newton_driver(newton_system(params, "closed", sector), seeds)
         cands = _candidates(raw, n_roots, params, sector)
-        cands = dedup_solutions(cands, params)
-        cands = _conjugate_closure(cands, params, sector)
+        lines = _closed_lines(cands, eigs, params)
+        cands = _conjugate_closure([sol for sol, _ in lines], params, sector)
     kept = []
-    for sol in cands:
-        try:
-            nullity, ambiguous = line_degeneracy(params, "closed", sol.roots, sol.twist)
-        except DomainError:  # no pole-free probe for this line's Lambda
-            continue
-        if nullity >= 1:
-            kept.append(replace(sol, degeneracy=nullity, ambiguous=ambiguous))
-    return dedup_solutions(kept, params)
+    for sol, lam in _closed_lines(cands, eigs, params):
+        nullity, ambiguous = measure_degeneracy(t, lam)
+        kept.append(replace(sol, degeneracy=nullity, ambiguous=ambiguous))
+    return kept
 
 
 def _anchored_two_site(params: ModelParams, sector: int):
@@ -712,7 +683,7 @@ def _anchored_two_site(params: ModelParams, sector: int):
     made = _make_solution(u[ok], params, "closed", sector)
     # the roots must reproduce the kappa they were solved for
     keep = ~(np.abs(made[1] - kappas[ok]) > 1e-6 * (1.0 + np.abs(kappas[ok])))
-    return dedup_solutions(_solutions(made, "closed", sector, keep), params)
+    return _solutions(made, "closed", sector, keep)
 
 
 def solve_all_closed(params: ModelParams, config: SearchConfig = None):

@@ -3,8 +3,11 @@
 The conserved generators of the open chain are the auxiliary-space matrix
 elements of the leading monodromy matrices T^± (every site carrying the
 constant R^± matrix).  The module verifies their commutation with the
-transfer matrix, the two exchange identities behind it, and measures
-eigenvalue degeneracies by a rank-revealing factorization.
+transfer matrix and the two exchange identities behind it.  It also holds
+the one degeneracy measurement of both chains: the solver takes each
+spectral line's eigenvalue lambda from the dense t(DEGENERACY_PROBE) and
+counts the nullity of t(DEGENERACY_PROBE) - lambda with
+``measure_degeneracy``, a rank-revealing factorization.
 """
 
 from __future__ import annotations
@@ -14,16 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DomainError, ModelParams
+from .core import ModelParams
 from .operators import crossing_pair, partial_transpose, r_asymptotic
 from .transfer import (
     _plain_sweep,
     _sweep_blocks,
     open_monodromy_apply,
     open_transfer_apply,
-    transfer_matrix,
 )
-from .bethe import pole_free_lambda
 
 __all__ = [
     "DEGENERACY_PROBE",
@@ -33,12 +34,11 @@ __all__ = [
     "generator_apply",
     "check_symmetry",
     "measure_degeneracy",
-    "line_degeneracy",
 ]
 
-#: Spectral point at which a line's degeneracy is measured (by
-#: ``line_degeneracy`` nudged off any pole of Lambda by
-#: ``bethe.pole_free_lambda``).
+#: Spectral point u0 at which every line of either chain is decided and
+#: measured: the solver eigendecomposes the dense t(u0), and a line's
+#: degeneracy is the nullity of t(u0) minus its eigenvalue.
 DEGENERACY_PROBE = 0.93 + 0.41j
 #: QR pivots below RANK_TOL times the largest pivot count as zero.
 RANK_TOL = 1e-8
@@ -181,18 +181,3 @@ def measure_degeneracy(mat: np.ndarray, lam):
     ambiguous = bool(np.any((diag > 0.1 * thresh) & (diag < 10.0 * thresh)))
     return n - rank, ambiguous
 
-
-def line_degeneracy(params: ModelParams, kind: str, roots, twist=None):
-    """Measured degeneracy of the eigenvalue carried by a set of Bethe roots.
-
-    The closed-chain sector solver keeps a candidate line iff its nullity
-    here is at least 1.  The point DEGENERACY_PROBE is nudged
-    deterministically off any pole of Lambda; DomainError is raised when no
-    pole-free place is found.  Returns (nullity, ambiguous).
-    """
-    p, lam, found = pole_free_lambda(
-        (DEGENERACY_PROBE,), [roots], params, kind, None if twist is None else [twist]
-    )
-    if not found[0]:
-        raise DomainError("no pole-free probe point found for Lambda")
-    return measure_degeneracy(transfer_matrix(p[0, 0], params, kind).matrix, lam[0, 0])

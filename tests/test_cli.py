@@ -70,6 +70,17 @@ def test_solve_takes_complex_q(capsys):
     assert payload["total_degeneracy"] == 16
 
 
+def test_solve_takes_negative_complex_q_as_a_separate_value(capsys):
+    # argparse alone reads -0.4+0.3j as an option, not as the value of --q
+    code = main(
+        ["solve", "--chain", "open", "--sites", "3", "--q", "-0.4+0.3j", "--json", "-"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["q"] == {"re": -0.4, "im": 0.3}
+    assert (payload["total_degeneracy"], payload["dimension"]) == (8, 8)
+
+
 @pytest.mark.parametrize(
     "degeneracies, ambiguous, code",
     [

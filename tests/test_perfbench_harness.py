@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["open-census", "verify-suites"])
+@pytest.mark.parametrize("workload", ["open-census", "closed-census", "verify-suites"])
 def test_trace_run_is_correct(workload):
     # A trace run takes no speed samples, so its exit code and its
     # `correct` flag depend only on the harness's set-up and payload checks:

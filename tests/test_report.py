@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tllab.bethe import eval_lambda
 from tllab.core import ModelParams
 from tllab.reference import exact, printed
 from tllab.report import (
@@ -26,7 +27,8 @@ from tllab.report import (
     write_csv,
 )
 from tllab.solver import solve_all_closed, solve_all_open
-from tllab.symmetry import line_degeneracy, measure_degeneracy
+from tllab.symmetry import DEGENERACY_PROBE, measure_degeneracy
+from tllab.transfer import transfer_matrix
 
 FAST = RunConfig(seed=1234, n_seeds=400)
 
@@ -141,8 +143,8 @@ def test_table_csv_rows_report_status():
     ],
 )
 def test_each_line_is_measured_once(monkeypatch, kind, n_sites, solve, build):
-    # the solver's membership test measures every kept line's degeneracy;
-    # the report must reuse it rather than factor t(u0) - Lambda again
+    # the solver factors t(u0) - lambda once per reported line and for no
+    # candidate it drops; the report must reuse it rather than factor again
     calls = []
 
     def counted(*args, **kwargs):
@@ -154,13 +156,15 @@ def test_each_line_is_measured_once(monkeypatch, kind, n_sites, solve, build):
     monkeypatch.setattr("tllab.solver.measure_degeneracy", counted, raising=False)
     params = ModelParams.create(n_sites, "1/2")
     # the open solve has no search to configure
-    solve(params, *(() if kind == "open" else (FAST.search(),)))
+    lines = solve(params, *(() if kind == "open" else (FAST.search(),)))
     solve_calls = len(calls)
+    assert solve_calls == sum(len(sols) for sols in lines.values())
     calls.clear()
     report = build(params, FAST)
     assert len(calls) == solve_calls, f"{len(calls)} QRs for {solve_calls} in the solve"
     assert report.total_degeneracy == report.dimension
     monkeypatch.undo()
+    t = transfer_matrix(DEGENERACY_PROBE, params, kind).matrix
     for ln in report.lines:
-        direct = line_degeneracy(params, kind, ln.roots, ln.twist)
-        assert (ln.degeneracy, ln.ambiguous) == direct
+        lam = eval_lambda(DEGENERACY_PROBE, ln.roots, params, kind, ln.twist)
+        assert (ln.degeneracy, ln.ambiguous) == measure_degeneracy(t, lam)

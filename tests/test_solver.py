@@ -1,4 +1,4 @@
-"""Root search: censuses, canonical forms, dedup, and the anchored sector."""
+"""Root search: censuses, canonical forms, line grouping, and the anchored sector."""
 
 from dataclasses import replace
 
@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from tllab import solver, symmetry
-from tllab.bethe import PROBE_NUDGE, PROBE_TRIES, eval_lambda, newton_system
+from tllab.bethe import (
+    PROBE_NUDGE,
+    PROBE_TRIES,
+    BetheSolution,
+    eval_lambda,
+    newton_system,
+    twist_from_roots,
+)
 from tllab.core import DomainError, ModelParams
 from tllab.report import RunConfig, build_closed_spectrum, build_open_spectrum
 from tllab.symmetry import DEGENERACY_PROBE
@@ -14,12 +21,15 @@ from tllab.transfer import _transfer_cached, transfer_matrix
 from tllab.solver import (
     FINGERPRINT_PROBES,
     LAMBDA_MATCH_TOL,
+    LINE_TOL,
     MAX_BACKTRACK,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     SearchConfig,
     _batch_solve,
+    _closed_lines,
     _draw_seeds,
+    _lines,
     _newton_driver,
     _one_root_candidates,
     _passes_guards,
@@ -27,12 +37,12 @@ from tllab.solver import (
     _solution_key,
     canonical_roots,
     chebyshev_dim,
-    dedup_solutions,
     expected_census,
     fingerprint,
     multiplicity,
     predicted_degeneracy,
     refine,
+    solve_all_closed,
     solve_all_open,
     solve_sector_closed,
 )
@@ -189,20 +199,27 @@ def test_open_spectrum_is_complete(n_sites, spin, q):
     assert total == params.site_dim**n_sites
 
 
-def test_open_solve_builds_transfer_matrices_only_at_the_probe(monkeypatch):
-    # Lambda is sampled by sweeps and each line is measured at its own
-    # eigenvalue: the one dense t(u) is t(DEGENERACY_PROBE), and nothing
-    # else is cached
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_solve_builds_transfer_matrices_only_at_the_probe(monkeypatch, kind):
+    # each line is decided and measured at its own eigenvalue of
+    # t(DEGENERACY_PROBE), and the open Lambda is sampled by sweeps: the one
+    # dense t(u) is t(DEGENERACY_PROBE), looked up once per solve (open) or
+    # per sector (closed), and nothing else is cached
     points = []
-    for module in (solver, symmetry):
-        def recorded(u, params, kind, _inner=module.transfer_matrix):
-            points.append(complex(u))
-            return _inner(u, params, kind)
 
-        monkeypatch.setattr(module, "transfer_matrix", recorded)
+    def recorded(u, params, kind):
+        points.append(complex(u))
+        return transfer_matrix(u, params, kind)
+
+    monkeypatch.setattr(solver, "transfer_matrix", recorded)
+    assert not hasattr(symmetry, "transfer_matrix")
     _transfer_cached.cache_clear()
-    solve_all_open(ModelParams.create(5, "1/2"))
-    assert points == [DEGENERACY_PROBE]
+    if kind == "open":
+        solve_all_open(ModelParams.create(5, "1/2"))
+        lookups = 1
+    else:
+        lookups = len(solve_all_closed(ModelParams.create(3, "1/2"), FAST))  # sectors
+    assert points == [DEGENERACY_PROBE] * lookups
     assert _transfer_cached.cache_info().currsize == 1
 
 
@@ -274,11 +291,22 @@ def test_conjugate_pair_line_present():
 
 
 def test_dedup_merges_reflected_duplicates():
-    params = ModelParams.create(2, "1/2")
-    a = refine([ROOT_EXACT], params, "open")
-    b = refine([-ROOT_EXACT], params, "open")
-    merged = dedup_solutions([a, b], params)
-    assert len(merged) == 1
+    # a closed root and its -u image carry one Lambda, so one eigenvalue of
+    # t(DEGENERACY_PROBE): they are one line, represented by the first at
+    # comparable residuals and else by the clearly (10x) smaller residual
+    params = ModelParams.create(3, "1/2")
+    root = complex(np.sqrt(2.0))
+    a, b = (
+        BetheSolution("closed", (r,), 0, twist_from_roots((r,), 0, params), 1e-14)
+        for r in (root, -root)
+    )
+    eigs, _ = _lines(transfer_matrix(DEGENERACY_PROBE, params, "closed").matrix)
+    lam = eval_lambda(DEGENERACY_PROBE, a.roots, params, "closed", a.twist)
+    sharper = replace(b, residual_norm=1e-16)
+    for given, want in (([a, b], a), ([b, a], b), ([a, sharper], sharper)):
+        lines = _closed_lines(given, eigs, params)
+        assert [sol for sol, _ in lines] == [want]
+        assert abs(lines[0][1] - lam) <= LAMBDA_MATCH_TOL * abs(lam)
 
 
 ROOT_EXACT = (3.0 + 1.0j) / np.sqrt(5.0)
@@ -329,11 +357,34 @@ def test_three_site_closed_sector_roots():
         assert abs(lines[0].twist - (-1j)) < 1e-10, sector
 
 
+def test_closed_four_site_lines_are_distinct_eigenvalues():
+    # closed N=4, s=1/2 holds an M=2, l=2 line at roots near {1, 1/q} with
+    # degeneracy 1, and no two lines of one sector share an eigenvalue
+    params = ModelParams.create(4, "1/2")
+    lines = solve_all_closed(params)
+    near = [
+        sol for sol in lines[2, 2]
+        if np.allclose(sorted(sol.roots, key=abs), [1.0, 1.0 / params.q], atol=1e-5)
+    ]
+    assert [sol.degeneracy for sol in near] == [1]
+    t = transfer_matrix(DEGENERACY_PROBE, params, "closed").matrix
+    radius = np.max(np.abs(np.linalg.eigvals(t)))
+    for sector, sols in lines.items():
+        lams = np.array([
+            eval_lambda(DEGENERACY_PROBE, sol.roots, params, "closed", sol.twist)
+            for sol in sols
+        ])
+        gaps = np.abs(lams[:, None] - lams[None, :]) + np.eye(len(lams)) * radius
+        assert np.all(gaps > LINE_TOL * radius), sector
+
+
 @pytest.mark.parametrize("kind", ["open", "closed"])
 @pytest.mark.parametrize("q", [0.3, 0.7, 1.5, 0.4 + 0.3j])
 def test_three_site_spectrum_is_complete_across_q(kind, q):
     # at q = 0.7 the closed chain once listed one M=1 root six times: its
-    # copies' fingerprints differ by up to 3e-10, above a 1e-10 match
+    # copies' eigenvalue samples differ by up to 3e-10, above the 1e-10 match
+    # they were grouped at; all now match the one eigenvalue of
+    # t(DEGENERACY_PROBE) that their line carries
     params = ModelParams.create(3, "1/2", q=q)
     build = build_open_spectrum if kind == "open" else build_closed_spectrum
     report = build(params, RunConfig(seed=1234))

@@ -8,6 +8,7 @@ import pytest
 
 from tllab import symmetry, transfer
 
+from tllab.bethe import eval_lambda
 from tllab.core import ModelParams
 from tllab.solver import refine
 from tllab.suites import IDENTITY_TOL
@@ -15,7 +16,6 @@ from tllab.symmetry import (
     check_symmetry,
     generator_apply,
     generator_blocks,
-    line_degeneracy,
     measure_degeneracy,
 )
 from tllab.transfer import transfer_matrix
@@ -122,13 +122,19 @@ def test_measure_degeneracy_on_synthetic_spectrum():
     assert nullity == 1
 
 
+def _line_degeneracy(params, roots):
+    """Nullity of the open t(u0) - Lambda(u0; roots) at u0 = DEGENERACY_PROBE."""
+    u0 = symmetry.DEGENERACY_PROBE
+    lam = eval_lambda(u0, roots, params, "open")
+    return measure_degeneracy(transfer_matrix(u0, params, "open").matrix, lam)
+
+
 def test_line_degeneracy_counts_vacuum_multiplet():
     # the zero root sector of the open three site chain carries the
     # dimension of the fused top module
     golden = {"1/2": 4, "1": 21, "3/2": 56}
     for spin, want in golden.items():
-        params = ModelParams.create(3, spin)
-        nullity, ambiguous = line_degeneracy(params, "open", ())
+        nullity, ambiguous = _line_degeneracy(ModelParams.create(3, spin), ())
         assert nullity == want, spin
         assert not ambiguous
 
@@ -136,6 +142,6 @@ def test_line_degeneracy_counts_vacuum_multiplet():
 def test_line_degeneracy_of_tabulated_line():
     params = ModelParams.create(3, "1")
     sol = refine([1.388730 + 0.267261j], params, "open")
-    nullity, ambiguous = line_degeneracy(params, "open", sol.roots)
+    nullity, ambiguous = _line_degeneracy(params, sol.roots)
     assert nullity == 3
     assert not ambiguous
