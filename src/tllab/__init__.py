@@ -25,7 +25,6 @@ from .bethe import (
     twist_from_roots,
 )
 from .solver import (
-    SearchConfig,
     expected_census,
     predicted_degeneracy,
     refine,
@@ -68,7 +67,6 @@ __all__ = [
     "eval_lambda",
     "energy",
     "twist_from_roots",
-    "SearchConfig",
     "solve_sector_closed",
     "solve_all_open",
     "solve_all_closed",

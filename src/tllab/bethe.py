@@ -33,17 +33,11 @@ __all__ = [
     "newton_system",
     "q_function",
     "eval_lambda",
-    "pole_free_lambda",
     "bethe_residuals",
     "energy",
     "twist_from_roots",
     "shift_eigenvalue",
 ]
-
-#: Factor by which a probe point is moved off a pole of Lambda, and the
-#: number of moves tried before giving up.
-PROBE_NUDGE = 1.0001937
-PROBE_TRIES = 60
 
 
 @dataclass(frozen=True)
@@ -284,28 +278,6 @@ def _lambda_terms(v, u, params: ModelParams, kind: str, twist=None,
         return terms, None, ok
     da, db = derivs[0], derivs[1]
     return terms, (da[..., :n, :] - da[..., n:, :], db[..., :n, :] - da[..., n:, :]), ok
-
-
-def pole_free_lambda(points, roots, params: ModelParams, kind: str, twist=None):
-    """Lambda at the points for each root tuple, nudged off its poles row by row.
-
-    ``roots`` has shape (b, m) and the closed-chain ``twist`` shape (b,).  A
-    point where a row's Lambda has a pole is multiplied by PROBE_NUDGE until
-    it has none, at most PROBE_TRIES times.  Returns (points, values, found):
-    the points and values, shape (b, P), and the mask (b,) of the rows whose
-    every point found a pole-free place (their values are NaN otherwise).
-    Rows are independent: a row's result does not depend on the others.
-    """
-    u = np.asarray(roots, dtype=complex)
-    p = np.tile(np.asarray(points, dtype=complex).reshape(-1), (u.shape[0], 1))
-    for _ in range(PROBE_TRIES):
-        (term_a, term_d), _, ok = _lambda_terms(p, u, params, kind, twist)
-        found = ok.all(axis=-1)
-        if found.all():
-            break
-        p = np.where(ok, p, p * PROBE_NUDGE)
-    with np.errstate(all="ignore"):
-        return p, np.where(found[:, None], term_a + term_d, np.nan), found
 
 
 # ---------------------------------------------------------------------------

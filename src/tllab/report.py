@@ -20,7 +20,7 @@ from .core import ModelParams
 from .bethe import energy as bethe_energy
 from .bethe import shift_eigenvalue
 from .solver import (
-    SearchConfig,
+    RunConfig,
     chebyshev_dim,
     multiplicity,
     predicted_degeneracy,
@@ -55,19 +55,6 @@ __all__ = [
 ]
 
 SCHEMA = "tl-lab/1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility knobs shared by the report builders: the closed-chain
-    search's RNG seed and its number of seeds per sector.  The open chain is
-    solved without a search and ignores them."""
-
-    seed: int = 1234
-    n_seeds: int = 2000
-
-    def search(self) -> SearchConfig:
-        return SearchConfig(rng_seed=self.seed, n_seeds=self.n_seeds)
 
 
 @dataclass(frozen=True)
@@ -254,7 +241,7 @@ def build_closed_spectrum(params: ModelParams, config: RunConfig = None) -> Spec
             ambiguous=sol.ambiguous,
             polished=sol.polished,
         )
-        for (m, sector), sols in sorted(solve_all_closed(params, config.search()).items())
+        for (m, sector), sols in sorted(solve_all_closed(params, config).items())
         for sol in sols
     ]
     return _spectrum_report(params, "closed", lines, start)

@@ -11,7 +11,9 @@ line's reported roots, polished by ``refine`` where Newton converges.  The
 roots are not a gate: the one check on them is that their
 Lambda(DEGENERACY_PROBE) reproduces lambda to LAMBDA_MATCH_TOL.
 
-Closed chain, multistart: seeds are drawn log-uniformly from an annulus and
+Closed chain, multistart: the closed t(DEGENERACY_PROBE) is eigendecomposed
+once per solve, and its distinct eigenvalues are shared by every sector
+(M, l).  In each sector, seeds are drawn log-uniformly from an annulus and
 driven by a damped (backtracking) Newton iteration on the batched residual
 and Jacobian kernel of ``bethe.newton_system``, vectorized across the whole
 seed batch.  Its line search tries several step halvings of every pending
@@ -21,12 +23,14 @@ residual, as a search of one halving per call would.  The converged root
 tuples of a sector are then screened as one (b, m) batch: singularity
 guards, per-root canonicalization over the symmetry orbit of the equations
 and a residual check.  The closed chain then decides its lines the way the
-open chain does, on the distinct eigenvalues lambda of the closed
-t(DEGENERACY_PROBE): a candidate is kept iff its Lambda(DEGENERACY_PROBE),
-evaluated for all candidates of the sector in one batched call, lies within
-LAMBDA_MATCH_TOL of some lambda, and the candidates that share a lambda are
-one line (``_closed_lines``).  Each line's degeneracy is the nullity of
-t(DEGENERACY_PROBE) - lambda.
+open chain does: a candidate is kept iff its Lambda(DEGENERACY_PROBE) lies
+within LAMBDA_MATCH_TOL of some eigenvalue lambda, and the candidates that
+share a lambda are one line (``_closed_lines``).  Each line's degeneracy is
+the nullity of t(DEGENERACY_PROBE) - lambda.
+
+Lambda(DEGENERACY_PROBE) of a batch of root tuples (``_probe_lambda``) is
+the one identity test of a line: it decides the lines of both chains, and a
+canonical representative of a root tuple must carry the raw tuple's.
 """
 
 from __future__ import annotations
@@ -43,9 +47,7 @@ from .bethe import (
     _amplitudes,
     _lambda_terms,
     bethe_sides,
-    eval_lambda,
     newton_system,
-    pole_free_lambda,
     sector_phase,
     twist_from_roots,
 )
@@ -53,13 +55,12 @@ from .symmetry import DEGENERACY_PROBE, generator_blocks, measure_degeneracy
 from .transfer import open_transfer_apply, transfer_matrix
 
 __all__ = [
-    "SearchConfig",
+    "RunConfig",
     "SectorCensus",
     "chebyshev_dim",
     "multiplicity",
     "predicted_degeneracy",
     "expected_census",
-    "fingerprint",
     "canonical_roots",
     "solve_sector_closed",
     "solve_all_open",
@@ -79,15 +80,11 @@ NEWTON_TOL = 1e-12
 #: each call bounded by the Newton batch's row count.
 MAX_BACKTRACK = 30
 MODULUS_BOUNDS = (1e-6, 1e6)
-FINGERPRINT_PROBES = (0.93 + 0.41j, 1.78 - 0.67j, 0.41 + 1.13j)
 #: Roots are ordered and canonicalized on their parts rounded to 1e-9.
 ROOT_KEY_SCALE = 1e9
 #: Scaled residual that a canonical representative must still reach, loose
 #: enough for the ulps that the orbit maps add to a converged root.
 CANONICAL_RESIDUAL_TOL = 1e-8
-#: Relative fingerprint agreement between a raw tuple and its canonical
-#: representative: both must describe the same spectral line.
-CANONICAL_FP_TOL = 1e-7
 #: Scaled residual below which a conjugated tuple is a genuine solution.
 CLOSURE_RESIDUAL_TOL = 1e-9
 #: Root-magnitude sums closer than this tie in the choice of a closed line's
@@ -101,7 +98,8 @@ LINE_TOL = 1e-7
 #: Relative residual below which a degree-M polynomial fits the TQ relation.
 TQ_FIT_TOL = 1e-9
 #: Largest relative distance |Lambda(DEGENERACY_PROBE; roots) - lambda| / |lambda|
-#: at which a line's roots still carry its eigenvalue lambda.
+#: at which a line's roots still carry its eigenvalue lambda, and at which a
+#: canonical representative still carries the Lambda of its raw tuple.
 #: The worst measured, over open N = 6..10 at s = 1/2 (q = 0.3, 0.5, 1.5) and
 #: N = 6 at s = 1, q = 0.3, is 6.8e-8 at N=10, q=0.5: a margin of 15.
 #: Closed candidates (seed 1234): over the closed census (N = 2, 3 at every
@@ -113,12 +111,13 @@ LAMBDA_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the closed-chain multistart search: seeds per sector and
-    their RNG seed."""
+class RunConfig:
+    """Reproducibility knobs of a run: the RNG seed of the closed-chain
+    multistart search and its number of seeds per sector.  The open chain is
+    solved without a search and ignores them."""
 
+    seed: int = 1234
     n_seeds: int = 2000
-    rng_seed: int = 1234
 
 
 @dataclass(frozen=True)
@@ -251,10 +250,10 @@ def _backtrack(fun, u, step, norm):
     return new_u[moved]
 
 
-def _draw_seeds(params: ModelParams, m: int, sector: int, config: SearchConfig):
+def _draw_seeds(params: ModelParams, m: int, sector: int, config: RunConfig):
     """Log-uniform seeds from SEED_ANNULUS for the closed sector (m, l)."""
     seq = np.random.SeedSequence(
-        (config.rng_seed, params.n_sites, params.twice_spin, m, 17 + sector)
+        (config.seed, params.n_sites, params.twice_spin, m, 17 + sector)
     )
     rng = np.random.default_rng(seq)
     lo, hi = np.log(SEED_ANNULUS[0]), np.log(SEED_ANNULUS[1])
@@ -334,26 +333,25 @@ def canonical_roots(roots, q, kind: str):
     row is then sorted.  ``roots`` has shape (..., m).
     """
     u = np.asarray(roots, dtype=complex)
-    orbit = [u, -u] + ([-1.0 / (q * u), 1.0 / (q * u)] if kind == "open" else [])
+    # u = 0 has no finite image; _make_solution then keeps the row's raw roots
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orbit = [u, -u] + ([-1.0 / (q * u), 1.0 / (q * u)] if kind == "open" else [])
     # the largest key sorts last, and of equal keys the one given last
     stack = np.stack(orbit[::-1])
     pick = _key_order(stack, axis=0)[-1:]
     return _sort_roots(np.take_along_axis(stack, pick, axis=0)[0])
 
 
-def fingerprint(roots, params: ModelParams, kind: str, twist=None) -> np.ndarray:
-    """Eigenvalue samples at fixed probes, used as a spectral-line identity.
+def _probe_lambda(u, params: ModelParams, kind: str, twist=None) -> np.ndarray:
+    """Lambda(DEGENERACY_PROBE) of each root tuple, the identity of its line.
 
-    ``roots`` is one tuple, or a batch of shape (b, m) with twists of shape
-    (b,); the result has shape (3,) or (b, 3).  A tuple whose probes find no
-    pole-free place gets NaN samples.
+    ``u`` has shape (b, m) and the closed-chain ``twist`` shape (b,); the
+    result has shape (b,), NaN where the probe is a pole of a row's Lambda.
     """
-    u = np.asarray(roots, dtype=complex)
-    batch = u if u.ndim == 2 else u[None]
-    if twist is not None:
-        twist = np.asarray(twist, dtype=complex).reshape(batch.shape[0])
-    _, values, _ = pole_free_lambda(FINGERPRINT_PROBES, batch, params, kind, twist)
-    return values if u.ndim == 2 else values[0]
+    v = np.full((u.shape[0], 1), DEGENERACY_PROBE, dtype=complex)
+    (term_a, term_d), _, ok = _lambda_terms(v, u, params, kind, twist)
+    with np.errstate(invalid="ignore"):
+        return np.where(ok[:, 0], term_a[:, 0] + term_d[:, 0], np.nan)
 
 
 def _residual_norm(u, params, kind, twist):
@@ -370,9 +368,9 @@ def _twists(u, params, kind, sector):
 def _make_solution(raw, params, kind, sector=None):
     """Canonicalize a batch of raw root tuples (shape (b, m)), verifying
     that each canonical representative still solves the equations and
-    carries the same eigenvalue; a row that fails keeps its raw roots,
-    sorted.  Returns (roots, twists, residual norms): shapes (b, m), (b,)
-    (None on the open chain) and (b,)."""
+    carries the raw tuple's Lambda(DEGENERACY_PROBE) (a NaN fails); a row
+    that fails keeps its raw roots, sorted.  Returns (roots, twists, residual
+    norms): shapes (b, m), (b,) (None on the open chain) and (b,)."""
     raw = np.asarray(raw, dtype=complex)
     cand = canonical_roots(raw, params.q, kind)
     ok = np.all(cand == raw, axis=-1)
@@ -380,12 +378,11 @@ def _make_solution(raw, params, kind, sector=None):
     twist_c = _twists(cand[moved], params, kind, sector)
     solves = _residual_norm(cand[moved], params, kind, twist_c) < CANONICAL_RESIDUAL_TOL
     check = moved[solves]
-    fp_raw, fp_c = (
-        fingerprint(u[check], params, kind, _twists(u[check], params, kind, sector))
+    lam_raw, lam_c = (
+        _probe_lambda(u[check], params, kind, _twists(u[check], params, kind, sector))
         for u in (raw, cand)
     )
-    scale = 1.0 + np.max(np.abs(fp_raw), axis=-1, initial=0.0)
-    ok[check] = np.max(np.abs(fp_raw - fp_c), axis=-1, initial=0.0) < CANONICAL_FP_TOL * scale
+    ok[check] = np.abs(lam_c - lam_raw) <= LAMBDA_MATCH_TOL * np.abs(lam_raw)
     use = np.where(ok[:, None], cand, _sort_roots(raw))
     twist = _twists(use, params, kind, sector)
     return use, twist, _residual_norm(use, params, kind, twist)
@@ -430,24 +427,19 @@ def _closed_lines(solutions, eigs, params: ModelParams):
     (solution, lambda) pairs in _solution_key order.
 
     ``eigs`` are the line eigenvalues of the closed t(DEGENERACY_PROBE) (see
-    _lines).  Lambda(DEGENERACY_PROBE) is evaluated for all solutions in one
-    batched call; a solution is kept iff it is off a pole there and its
-    nearest lambda lies within LAMBDA_MATCH_TOL * |lambda| of it.  The kept
-    solutions at one lambda are one line, taken in order: a clearly (10x)
-    smaller residual norm wins the line; at comparable residuals the smaller
-    total root magnitude does, so crossing partners collapse onto the
-    customary representative.
+    _lines).  A solution is kept iff its Lambda(DEGENERACY_PROBE) is off a
+    pole and its nearest lambda lies within LAMBDA_MATCH_TOL * |lambda| of
+    it.  The kept solutions at one lambda are one line, taken in order: a
+    clearly (10x) smaller residual norm wins the line; at comparable
+    residuals the smaller total root magnitude does, so crossing partners
+    collapse onto the customary representative.
     """
     if not solutions:
         return []
     u = np.array([sol.roots for sol in solutions], dtype=complex).reshape(len(solutions), -1)
-    v = np.full((len(solutions), 1), DEGENERACY_PROBE)
-    twist = [sol.twist for sol in solutions]
-    (term_a, term_d), _, ok = _lambda_terms(v, u, params, "closed", twist)
-    dist = np.abs(term_a + term_d - eigs)  # (solutions, lines)
-    near = np.argmin(dist, axis=1)
-    gap = np.take_along_axis(dist, near[:, None], axis=1)[:, 0]
-    match = ok[:, 0] & (gap <= LAMBDA_MATCH_TOL * np.abs(eigs[near]))
+    lam = _probe_lambda(u, params, "closed", [sol.twist for sol in solutions])
+    near = np.argmin(np.abs(lam[:, None] - eigs), axis=1)
+    match = np.abs(lam - eigs[near]) <= LAMBDA_MATCH_TOL * np.abs(eigs[near])
     best = {}
     for i in np.flatnonzero(match):
         sol, cur = solutions[i], best.get(near[i])
@@ -578,7 +570,7 @@ def solve_all_open(params: ModelParams):
     Lambda(v), sampled matrix-free at _tq_points, fixes M and Q through the
     TQ relation; the line reports the zeros of Q as its roots (see
     _open_line).  A line is dropped when it fits no M <= N/2, or when its
-    roots' Lambda(DEGENERACY_PROBE) has a pole or misses lambda by more than
+    roots' finite Lambda(DEGENERACY_PROBE) misses lambda by more than
     LAMBDA_MATCH_TOL relative; the census then shows the gap.
     """
     t = transfer_matrix(DEGENERACY_PROBE, params, "open").matrix
@@ -590,10 +582,10 @@ def solve_all_open(params: ModelParams):
         if p is None:
             continue
         sol = _open_line(p, params)
-        try:
-            value = eval_lambda(DEGENERACY_PROBE, sol.roots, params, "open")
-        except DomainError:
-            continue
+        value = _probe_lambda(np.array([sol.roots], dtype=complex), params, "open")[0]
+        # only a finite Lambda that misses lambda vetoes the line: roots with
+        # no finite Lambda at the probe (such as a TQ zero that cancels to
+        # u = 0) leave the line to its measured nullity
         if abs(value - lam) > LAMBDA_MATCH_TOL * abs(lam):
             continue
         nullity, ambiguous = measure_degeneracy(t, lam)
@@ -607,26 +599,34 @@ def solve_all_open(params: ModelParams):
 # closed chain: multistart sector solvers
 
 
+def _closed_spectrum(params: ModelParams):
+    """The closed t(DEGENERACY_PROBE) and its line eigenvalues (see _lines)."""
+    t = transfer_matrix(DEGENERACY_PROBE, params, "closed").matrix
+    return t, _lines(t)[0]
+
+
 def solve_sector_closed(
-    params: ModelParams, n_roots: int, sector: int, config: SearchConfig = None
+    params: ModelParams, n_roots: int, sector: int, config: RunConfig = None,
+    spectrum=None,
 ):
     """All Bethe solutions of the closed chain with M = n_roots and label l.
 
     The candidates are decided on the line eigenvalues of the closed
     t(DEGENERACY_PROBE) (_closed_lines), before and after their conjugate
     closure, and each line carries the nullity of t(DEGENERACY_PROBE) -
-    lambda as its degeneracy.  The two-site one-root system is degenerate
-    (it is satisfied identically once the twist is substituted), so that
-    sector is anchored instead on the eigenvalues of the traced leading
-    monodromy, which fixes kappa and then the root.
+    lambda as its degeneracy; ``spectrum`` is that matrix and those
+    eigenvalues (``_closed_spectrum``), shared by solve_all_closed's sectors.
+    The two-site one-root system is degenerate (it is satisfied identically
+    once the twist is substituted), so that sector is anchored instead on
+    the eigenvalues of the traced leading monodromy, which fixes kappa and
+    then the root.
     """
-    config = config or SearchConfig()
+    config = config or RunConfig()
     n = params.n_sites
     sector = sector % n
     if 2 * n_roots > n:
         raise DomainError(f"M = {n_roots} exceeds N/2 = {n / 2} for the closed chain")
-    t = transfer_matrix(DEGENERACY_PROBE, params, "closed").matrix
-    eigs, _ = _lines(t)
+    t, eigs = spectrum or _closed_spectrum(params)
     if n_roots == 0:
         twist = twist_from_roots((), sector, params)
         cands = [BetheSolution(kind="closed", roots=(), sector=sector, twist=twist)]
@@ -686,10 +686,12 @@ def _anchored_two_site(params: ModelParams, sector: int):
     return _solutions(made, "closed", sector, keep)
 
 
-def solve_all_closed(params: ModelParams, config: SearchConfig = None):
-    """Solutions for every closed sector, as a dict (M, l) -> list."""
+def solve_all_closed(params: ModelParams, config: RunConfig = None):
+    """Solutions for every closed sector, as a dict (M, l) -> list; one
+    eigendecomposition of the closed t(DEGENERACY_PROBE) serves them all."""
+    spectrum = _closed_spectrum(params)
     return {
-        (m, l): solve_sector_closed(params, m, l, config)
+        (m, l): solve_sector_closed(params, m, l, config, spectrum)
         for m in range(params.n_sites // 2 + 1)
         for l in range(params.n_sites)
     }

@@ -232,13 +232,19 @@ def transfer_matrix(u, params: ModelParams, kind: str) -> TransferEval:
     return TransferEval(params, u, kind, _transfer_cached(params, u, kind))
 
 
-def hamiltonian_from_transfer(params: ModelParams, step: float = 1e-6) -> np.ndarray:
+#: Step h of the central differences (t(1 + h) - t(1 - h)) / 2h that
+#: ``hamiltonian_from_transfer`` extrapolates from h and h/2.
+DERIVATIVE_STEP = 1e-6
+
+
+def hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
     """Reconstruct H from the logarithmic derivative of the open transfer matrix.
 
     H = alpha t'(1) + beta Id with
     alpha = -1 / (4 omega(q^2) omega(q)^(2N-2)),
     beta = omega(q)/omega(q^2) - (N/2) omega(q^2)/omega(q).
-    t'(1) uses central differences with one step of Richardson extrapolation.
+    t'(1) uses central differences at DERIVATIVE_STEP and half of it, with one
+    step of Richardson extrapolation.
     """
     if not params.homogeneous:
         raise DomainError("transfer-derivative Hamiltonian needs homogeneous weights")
@@ -250,7 +256,7 @@ def hamiltonian_from_transfer(params: ModelParams, step: float = 1e-6) -> np.nda
         dn = _transfer_cached(params, complex(1.0 - h), "open")
         return (up - dn) / (2.0 * h)
 
-    deriv = (4.0 * central(step / 2.0) - central(step)) / 3.0
+    deriv = (4.0 * central(DERIVATIVE_STEP / 2.0) - central(DERIVATIVE_STEP)) / 3.0
     alpha = -1.0 / (4.0 * omega(q * q) * omega(q) ** (2 * n - 2))
     beta = omega(q) / omega(q * q) - 0.5 * n * omega(q * q) / omega(q)
     dim = params.site_dim**n

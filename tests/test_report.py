@@ -156,7 +156,7 @@ def test_each_line_is_measured_once(monkeypatch, kind, n_sites, solve, build):
     monkeypatch.setattr("tllab.solver.measure_degeneracy", counted, raising=False)
     params = ModelParams.create(n_sites, "1/2")
     # the open solve has no search to configure
-    lines = solve(params, *(() if kind == "open" else (FAST.search(),)))
+    lines = solve(params, *(() if kind == "open" else (FAST,)))
     solve_calls = len(calls)
     assert solve_calls == sum(len(sols) for sols in lines.values())
     calls.clear()

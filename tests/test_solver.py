@@ -1,5 +1,6 @@
 """Root search: censuses, canonical forms, line grouping, and the anchored sector."""
 
+import cmath
 from dataclasses import replace
 
 import numpy as np
@@ -7,29 +8,27 @@ import pytest
 
 from tllab import solver, symmetry
 from tllab.bethe import (
-    PROBE_NUDGE,
-    PROBE_TRIES,
     BetheSolution,
     eval_lambda,
     newton_system,
     twist_from_roots,
 )
 from tllab.core import DomainError, ModelParams
-from tllab.report import RunConfig, build_closed_spectrum, build_open_spectrum
+from tllab.report import build_closed_spectrum, build_open_spectrum
 from tllab.symmetry import DEGENERACY_PROBE
 from tllab.transfer import _transfer_cached, transfer_matrix
 from tllab.solver import (
-    FINGERPRINT_PROBES,
     LAMBDA_MATCH_TOL,
     LINE_TOL,
     MAX_BACKTRACK,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
-    SearchConfig,
+    RunConfig,
     _batch_solve,
     _closed_lines,
     _draw_seeds,
     _lines,
+    _make_solution,
     _newton_driver,
     _one_root_candidates,
     _passes_guards,
@@ -38,7 +37,6 @@ from tllab.solver import (
     canonical_roots,
     chebyshev_dim,
     expected_census,
-    fingerprint,
     multiplicity,
     predicted_degeneracy,
     refine,
@@ -47,7 +45,7 @@ from tllab.solver import (
     solve_sector_closed,
 )
 
-FAST = SearchConfig(n_seeds=400)
+FAST = RunConfig(n_seeds=400)
 
 
 def test_chebyshev_dimensions():
@@ -136,25 +134,17 @@ def test_guards_reject_each_singular_point():
     assert [bool(_passes_guards(row, params)) for row in batch] == list(want)
 
 
-def test_batched_fingerprint_matches_rows():
-    params = ModelParams.create(3, "1/2")
-    rng = np.random.default_rng(5)
-    m = PROBE_TRIES
-    batch = np.exp(rng.uniform(-0.7, 0.7, (4, m)) + 1j * rng.uniform(0, 2 * np.pi, (4, m)))
-    batch[1, 0] = FINGERPRINT_PROBES[1]  # a pole of Lambda: that probe is nudged
-    # a pole at the first probe and at each of its nudged places
-    batch[2] = FINGERPRINT_PROBES[0] * PROBE_NUDGE ** np.arange(m)
-    twist = rng.normal(size=4) + 1j * rng.normal(size=4)
-    prints = fingerprint(batch, params, "closed", twist)
-    assert prints.shape == (4, len(FINGERPRINT_PROBES))
-    assert np.isnan(prints[2]).all()
-    assert np.isfinite(np.delete(prints, 2, axis=0)).all()
-    assert abs(prints[1, 1] - eval_lambda(
-        FINGERPRINT_PROBES[1] * PROBE_NUDGE, batch[1], params, "closed", twist[1]
-    )) < 1e-12 * abs(prints[1, 1])
-    for row, t, want in zip(batch, twist, prints):
-        got = fingerprint(row, params, "closed", t)
-        assert np.allclose(got, want, rtol=1e-14, atol=0, equal_nan=True)
+def test_canonical_image_must_carry_the_raw_lambda(monkeypatch):
+    # a canonical image is used only if it carries the raw tuple's
+    # Lambda(DEGENERACY_PROBE): an orbit image -a is, another line's roots b
+    # are not, although both solve the equations
+    params = ModelParams.create(4, "1/2")
+    a, b = (sol.roots[0] for sol in solve_all_open(params)[1][:2])
+    images = np.array([[b], [-a]])
+    monkeypatch.setattr(solver, "canonical_roots", lambda roots, q, kind: images)
+    roots, _, residual = _make_solution(np.array([[a], [a]]), params, "open")
+    assert roots.tolist() == [[a], [-a]]
+    assert np.all(residual < NEWTON_TOL)
 
 
 def test_open_census_matches_multiplicities():
@@ -203,23 +193,28 @@ def test_open_spectrum_is_complete(n_sites, spin, q):
 def test_solve_builds_transfer_matrices_only_at_the_probe(monkeypatch, kind):
     # each line is decided and measured at its own eigenvalue of
     # t(DEGENERACY_PROBE), and the open Lambda is sampled by sweeps: the one
-    # dense t(u) is t(DEGENERACY_PROBE), looked up once per solve (open) or
-    # per sector (closed), and nothing else is cached
-    points = []
+    # dense t(u) is t(DEGENERACY_PROBE), looked up and eigendecomposed once
+    # per solve, on either chain, and nothing else is cached
+    points, decompositions = [], []
 
     def recorded(u, params, kind):
         points.append(complex(u))
         return transfer_matrix(u, params, kind)
 
+    def lines(t):
+        decompositions.append(t)
+        return _lines(t)
+
     monkeypatch.setattr(solver, "transfer_matrix", recorded)
+    monkeypatch.setattr(solver, "_lines", lines)
     assert not hasattr(symmetry, "transfer_matrix")
     _transfer_cached.cache_clear()
     if kind == "open":
         solve_all_open(ModelParams.create(5, "1/2"))
-        lookups = 1
     else:
-        lookups = len(solve_all_closed(ModelParams.create(3, "1/2"), FAST))  # sectors
-    assert points == [DEGENERACY_PROBE] * lookups
+        solve_all_closed(ModelParams.create(3, "1/2"), FAST)
+    assert points == [DEGENERACY_PROBE]
+    assert len(decompositions) == 1
     assert _transfer_cached.cache_info().currsize == 1
 
 
@@ -246,6 +241,17 @@ def test_open_lines_do_not_depend_on_refine(monkeypatch, n_sites, spin):
         hits.append(np.argmin(np.abs(eigs - value)))
         assert abs(value - eigs[hits[-1]]) <= LAMBDA_MATCH_TOL * abs(eigs[hits[-1]]), sol.roots
     assert sorted(hits) == list(range(len(eigs)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_root_of_unity_census_warns_nothing():
+    # at q = e^(i pi/4) one line's TQ zero cancels to the root u = 0, whose
+    # -1/(qu) image is infinite: the solve still reports the same short census
+    # (13 of 16; ROADMAP direction 9), and no RuntimeWarning escapes it
+    params = ModelParams.create(4, "1/2", q=cmath.exp(1j * np.pi / 4))
+    lines = solve_all_open(params)
+    assert sum(sol.degeneracy for sols in lines.values() for sol in sols) == 13
+    assert [sol.roots for sol in lines[1] if not sol.polished] == [(0j,)]
 
 
 def test_line_order_does_not_follow_roundoff():
@@ -378,6 +384,17 @@ def test_closed_four_site_lines_are_distinct_eigenvalues():
         assert np.all(gaps > LINE_TOL * radius), sector
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the closed multistart misses lines at even N (11 of 16 states here);"
+    " ROADMAP direction 2, closed chains spectrum-first, is to complete it",
+)
+def test_closed_four_site_spectrum_is_complete():
+    params = ModelParams.create(4, "1/2")
+    lines = solve_all_closed(params)
+    assert sum(sol.degeneracy for sols in lines.values() for sol in sols) == 16
+
+
 @pytest.mark.parametrize("kind", ["open", "closed"])
 @pytest.mark.parametrize("q", [0.3, 0.7, 1.5, 0.4 + 0.3j])
 def test_three_site_spectrum_is_complete_across_q(kind, q):
@@ -452,7 +469,7 @@ def test_batched_line_search_keeps_every_decision(n_sites, spin, q, n_roots, sec
     # oracle's tuples, in order, in fewer calls, none of them carrying more
     # rows than the Newton batch of its iteration
     params = ModelParams.create(n_sites, spin, q=q)
-    seeds = _draw_seeds(params, n_roots, sector, SearchConfig())
+    seeds = _draw_seeds(params, n_roots, sector, RunConfig())
     if n_roots == 1:
         seeds = np.vstack([np.array(_one_root_candidates(params, sector)), seeds])
     fun = newton_system(params, "closed", sector)
