@@ -31,7 +31,6 @@ __all__ = [
     "sector_phase",
     "bethe_sides",
     "newton_system",
-    "q_function",
     "eval_lambda",
     "bethe_residuals",
     "energy",
@@ -282,13 +281,6 @@ def _lambda_terms(v, u, params: ModelParams, kind: str, twist=None,
 
 # ---------------------------------------------------------------------------
 # scalar API
-
-
-def q_function(u, roots, q, kind: str):
-    """Q(u) = prod_k omega(u/u_k) [omega(u q u_k)], the bracket open only."""
-    _check_kind(kind)
-    ga, _, _ = _pairs(np.array([[complex(u) * q]]), _one_tuple(roots), q, kind)
-    return complex(np.prod(ga[0, 0]))
 
 
 def eval_lambda(u, roots, params: ModelParams, kind: str, twist=None):

@@ -34,7 +34,6 @@ __all__ = [
     "pi_phase",
     "parse_spin",
     "format_spin",
-    "fusion_trace",
     "functional_rhs",
     "scaled_residual",
 ]
@@ -261,15 +260,6 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # Fusion scalars
 # ---------------------------------------------------------------------------
-
-def fusion_trace(u, params: ModelParams):
-    """g(u) = (-1)^{2s+1} omega(u/q): the weight of the projected R-trace.
-
-    Equals tr_{12} [ R12(u) V1 V2 Pminus ]; in particular g(q) = 0.
-    """
-    sign = -1.0 if params.twice_spin % 2 == 0 else 1.0
-    return sign * omega(np.asarray(u, dtype=complex) / params.q)
-
 
 def functional_rhs(u, params: ModelParams, kind: str = "open"):
     """Scalar right-hand side F(u) of the transfer-matrix functional relation.

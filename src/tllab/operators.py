@@ -20,7 +20,6 @@ __all__ = [
     "hamiltonian",
     "r_matrix",
     "crossing_pair",
-    "tl_projector",
     "r_asymptotic",
     "partial_transpose",
 ]
@@ -107,7 +106,7 @@ def r_matrix(u, params: ModelParams) -> np.ndarray:
 
     ``u`` is a point or an array of points; the result has shape
     u.shape + (d^2, d^2).  Regular point: R(1) = omega(q) P.  At u = 1/q it
-    degenerates to a multiple of the rank-d projector (see tl_projector).
+    is a multiple of P X, of rank one.
     """
     u = np.asarray(u, dtype=complex)
     if (u == 0).any():
@@ -132,13 +131,6 @@ def crossing_pair(params: ModelParams):
         v[j - 1, k - 1] = (-1.0) ** j * _q_power(big_q, s2 + 2 - 2 * j)
     m = np.diag(np.array([big_q ** (2 * a - s2) for a in range(d)], dtype=complex))
     return v, m
-
-
-def tl_projector(params: ModelParams) -> np.ndarray:
-    """The rank-d idempotent P^- = ((-1)^(2s)/(2s+1)) P X onto the fused module."""
-    d = params.site_dim
-    sign = 1.0 if params.twice_spin % 2 == 0 else -1.0
-    return (sign / d) * (permutation_matrix(d) @ tl_generator(params))
 
 
 def r_asymptotic(sign: str, params: ModelParams) -> np.ndarray:

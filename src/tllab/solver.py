@@ -11,14 +11,17 @@ line's reported roots, polished by ``refine`` where Newton converges.  The
 roots are not a gate: the one check on them is that their
 Lambda(DEGENERACY_PROBE) reproduces lambda to LAMBDA_MATCH_TOL.
 
-Closed chain, multistart: the closed t(DEGENERACY_PROBE) is eigendecomposed
-once per solve, and its distinct eigenvalues are shared by every sector
-(M, l).  In each sector, seeds are drawn log-uniformly from an annulus and
-driven by a damped (backtracking) Newton iteration on the batched residual
-and Jacobian kernel of ``bethe.newton_system``, vectorized across the whole
-seed batch.  Its line search tries several step halvings of every pending
-seed in one residual call, with no call carrying more rows than the Newton
-batch (``_backtrack``); each seed takes the first halving that lowers its
+Closed chain: the closed t(DEGENERACY_PROBE) is eigendecomposed once per
+solve, and its distinct eigenvalues are shared by every sector (M, l).  An
+M = 1 sector needs no search: its cleared Bethe equation is one polynomial
+of degree N + 2 in u^2, and its roots are the seeds (``_one_root_seeds``).
+An M >= 2 sector draws its seeds log-uniformly from an annulus
+(multistart).  The seeds of both are driven by a damped (backtracking)
+Newton iteration on the batched residual and Jacobian kernel of
+``bethe.newton_system``, vectorized across the whole seed batch.  Its line
+search tries several step halvings of every pending seed in one residual
+call, with no call carrying more rows than the Newton batch
+(``_backtrack``); each seed takes the first halving that lowers its
 residual, as a search of one halving per call would.  The converged root
 tuples of a sector are then screened as one (b, m) batch: singularity
 guards, per-root canonicalization over the symmetry orbit of the equations
@@ -113,8 +116,9 @@ LAMBDA_MATCH_TOL = 1e-6
 @dataclass(frozen=True)
 class RunConfig:
     """Reproducibility knobs of a run: the RNG seed of the closed-chain
-    multistart search and its number of seeds per sector.  The open chain is
-    solved without a search and ignores them."""
+    multistart search and its number of seeds per sector, which only the
+    sectors with M >= 2 roots draw.  The open chain and the closed M <= 1
+    sectors are solved without a search and ignore them."""
 
     seed: int = 1234
     n_seeds: int = 2000
@@ -262,32 +266,28 @@ def _draw_seeds(params: ModelParams, m: int, sector: int, config: RunConfig):
     return mods * np.exp(1j * phases)
 
 
-def _one_root_candidates(params: ModelParams, sector: int):
-    """Closed-form closed-chain M = 1 root candidates used to enrich the seed
-    pool.
+def _one_root_seeds(params: ModelParams, sector: int):
+    """Every M = 1 solution of the closed sector l, as seeds of shape (b, 1).
 
-    Writing rho = omega(q u)/omega(u), the one-root equations reduce to
-    rho^(N-2) = e^(-4 pi i l/N) (-1)^(2sN), after which
-    u^2 = (1/q - rho)/(q - rho).
+    With kappa = c_l omega(u)/omega(q u) and x = u^2, the cleared equation
+    kappa^2 pa(u) = pb(u) times u^N (q^2 x - 1)^2 / q^2 is the polynomial
+
+      c_l^2 (x - 1)^2 prod_i ((q/th_i)^2 x - 1) th_i/q
+        - (q^2 x - 1)^2 q^-2 prod_i (x/th_i^2 - 1) th_i
+
+    of degree N + 2, whose roots are taken as u = sqrt(x).  Roots at
+    u = +-1, +-1/q, 0 or infinity (on equal weights x = 1 and x = q^-2 are
+    double roots) are not solutions; the guards and the Lambda match drop
+    them after Newton.
     """
     q = params.q
-    n = params.n_sites
-    cands = []
-    p = n - 2
-    if p <= 0:
-        return []
-    target = np.exp(-4j * np.pi * sector / n) * (-1.0) ** (params.twice_spin * n)
-    base = complex(target) ** (1.0 / p)
-    rhos = [base * np.exp(2j * np.pi * k / p) for k in range(p)]
-    for rho in rhos:
-        if abs(rho - q) < 1e-12 or abs(rho - 1.0 / q) < 1e-12:
-            continue
-        u2 = (1.0 / q - rho) / (q - rho)
-        if u2 == 0:
-            continue
-        root = cmath.sqrt(u2)
-        cands.extend([[root], [-root]])
-    return cands
+    x = np.polynomial.Polynomial([0, 1])
+    side_a = sector_phase(sector, params) ** 2 * (x - 1) ** 2
+    side_b = (q * q * x - 1) ** 2 / (q * q)
+    for th in params.thetas:
+        side_a = side_a * ((q / th) ** 2 * x - 1) * (th / q)
+        side_b = side_b * (x / th**2 - 1) * th
+    return np.sqrt((side_a - side_b).roots())[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +616,11 @@ def solve_sector_closed(
     closure, and each line carries the nullity of t(DEGENERACY_PROBE) -
     lambda as its degeneracy; ``spectrum`` is that matrix and those
     eigenvalues (``_closed_spectrum``), shared by solve_all_closed's sectors.
+    An M = 1 sector at N > 2 is seeded with the roots of its one-root
+    polynomial (_one_root_seeds), so its result does not depend on
+    ``config``; an M >= 2 sector with config.n_seeds random seeds.  Both
+    kinds of seeds are polished by Newton, guarded and canonicalized
+    (_candidates).
     The two-site one-root system is degenerate (it is satisfied identically
     once the twist is substituted), so that sector is anchored instead on
     the eigenvalues of the traced leading monodromy, which fixes kappa and
@@ -633,11 +638,10 @@ def solve_sector_closed(
     elif n == 2 and n_roots == 1:
         cands = _anchored_two_site(params, sector)
     else:
-        seeds = _draw_seeds(params, n_roots, sector, config)
         if n_roots == 1:
-            extra = _one_root_candidates(params, sector)
-            if extra:
-                seeds = np.vstack([np.array(extra, dtype=complex), seeds])
+            seeds = _one_root_seeds(params, sector)
+        else:
+            seeds = _draw_seeds(params, n_roots, sector, config)
         raw = _newton_driver(newton_system(params, "closed", sector), seeds)
         cands = _candidates(raw, n_roots, params, sector)
         lines = _closed_lines(cands, eigs, params)

@@ -1,6 +1,10 @@
 """Command line entry points, exit codes, and data output modes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,27 @@ def test_solve_open_chain_off_the_tested_grid(capsys):
     assert payload["total_degeneracy"] == 256
     # 18 of its lines report TQ zeros that Newton does not polish
     assert sum(not line["polished"] for line in payload["lines"]) == 18
+
+
+def test_open_lines_do_not_depend_on_blas_threads():
+    # open N=8, q=0.3 at one and at two OpenBLAS threads, each in its own
+    # process: the same lines, degeneracies and flags.  Roots and `polished`
+    # are left out: on its near-string lines NEWTON_TOL is out of reach in
+    # float64, so roundoff, which the thread count changes, decides whether
+    # refine converges and hence those two fields
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "tllab", "solve", "--chain", "open", "--sites", "8",
+            "--q", "0.3", "--json", "-"]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = json.loads(proc.stdout)["lines"]
+        runs.append(sorted((line["m"], line["degeneracy"], line["ambiguous"]) for line in lines))
+    assert len(runs[0]) == 70
+    assert runs[0] == runs[1]
 
 
 def test_solve_takes_complex_q(capsys):

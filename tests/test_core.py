@@ -8,7 +8,6 @@ from tllab.core import (
     ModelParams,
     deformation_residual,
     format_spin,
-    fusion_trace,
     loop_parameter,
     omega,
     omega_prime,
@@ -118,12 +117,6 @@ def test_model_params_rejects_resonant_inhomogeneities():
 def test_model_params_rejects_bad_deformation_value():
     with pytest.raises(DomainError):
         ModelParams.create(2, "1/2", big_q=3.7 + 0.1j)
-
-
-def test_fusion_trace_finite_at_generic_point():
-    params = ModelParams.create(2, "1/2")
-    val = fusion_trace(1.17 - 0.23j, params)
-    assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
 def test_scaled_residual_zero_for_equal_arrays():

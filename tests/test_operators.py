@@ -12,7 +12,6 @@ from tllab.operators import (
     r_asymptotic,
     r_matrix,
     tl_generator,
-    tl_projector,
 )
 
 SPINS = ("1/2", "1", "3/2")
@@ -69,10 +68,17 @@ def test_generator_is_scaled_rank_one_idempotent():
         assert _rel((x / c) @ (x / c), x / c) < 1e-12
 
 
+def _fused_projector(params):
+    """The rank-one idempotent ((-1)^(2s)/(2s+1)) P X onto the fused module."""
+    d = params.site_dim
+    sign = 1.0 if params.twice_spin % 2 == 0 else -1.0
+    return (sign / d) * (permutation_matrix(d) @ tl_generator(params))
+
+
 def test_fused_projector_idempotent_and_proportional_to_degenerate_r():
     for spin in SPINS:
         params = ModelParams.create(2, spin)
-        proj = tl_projector(params)
+        proj = _fused_projector(params)
         assert np.linalg.matrix_rank(proj, tol=1e-10) == 1
         assert _rel(proj @ proj, proj) < 1e-12
         r_deg = r_matrix(1.0 / params.q, params)
